@@ -32,7 +32,9 @@ import sys
 
 from .core.annotate import annotate_function
 from .core.specializer import DataSpecializer, SpecializerOptions
-from .lang.errors import EvalError, SourceError, SpecializationError
+from .lang.errors import (
+    EvalError, SceneError, SourceError, SpecializationError,
+)
 from .lang.parser import parse_program
 from .lang.pretty import format_function
 from .runtime.interp import Interpreter
@@ -1186,9 +1188,10 @@ def main(argv=None, out=None, err=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, out)
-    except SpecializationError as exc:
+    except (SpecializationError, SceneError) as exc:
         # Typed failures (artifact integrity, specialization,
-        # supervision exhaustion) are operational conditions, not bugs:
-        # one line on stderr, exit code 2, no traceback.
+        # supervision exhaustion, an empty frame size) are operational
+        # conditions, not bugs: one line on stderr, exit code 2, no
+        # traceback.
         err.write("error: %s\n" % exc)
         return 2

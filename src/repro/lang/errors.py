@@ -98,5 +98,10 @@ class DeadlineError(EvalError):
     """
 
 
+class SceneError(ValueError):
+    """A scene cannot be built as requested — e.g. a frame narrower or
+    shorter than one pixel."""
+
+
 # Public, collision-free alias.
 KernelTypeError = TypeError_

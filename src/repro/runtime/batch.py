@@ -391,9 +391,7 @@ class BatchKernel(object):
         may be arrays, lists, or uniform Python scalars (controls).
         """
         values, lane_costs = self.run_lanes(columns, n, cache=cache)
-        if isinstance(lane_costs, list):
-            return values, sum(lane_costs)
-        return values, int(lane_costs.sum())
+        return values, cost_total(lane_costs)
 
     def run_lanes(self, columns, n, cache=None):
         """Like :meth:`run`, but returns per-lane costs instead of the
@@ -435,10 +433,40 @@ def value_rows(values, n):
 def cost_rows(lane_costs, n):
     """Per-lane step costs from :meth:`BatchKernel.run_lanes` as a list
     of Python ints (the vectorized path yields an int64 array, the
-    per-row fallback a list)."""
+    per-row fallback a list).  Only the per-pixel cost histogram needs
+    this; totals and deadlines use :func:`cost_total`/:func:`cost_max`."""
     if isinstance(lane_costs, list):
         return [int(c) for c in lane_costs]
-    return [int(c) for c in lane_costs.tolist()]
+    return lane_costs.tolist()
+
+
+def cost_total(lane_costs):
+    """Exact frame total of per-lane step costs, as a Python int."""
+    if isinstance(lane_costs, list):
+        return sum(lane_costs)
+    return int(lane_costs.sum())
+
+
+def cost_max(lane_costs):
+    """The costliest lane's steps (0 for no lanes), as a Python int."""
+    if len(lane_costs) == 0:
+        return 0
+    if isinstance(lane_costs, list):
+        return max(lane_costs)
+    return int(lane_costs.max())
+
+
+def join_costs(parts):
+    """Per-tile lane costs concatenated in frame order: one int64 array,
+    or a list on the pure-Python path."""
+    if HAVE_NUMPY:
+        return _np.concatenate(
+            [_np.asarray(part, dtype=_np.int64) for part in parts]
+        )
+    joined = []
+    for part in parts:
+        joined.extend(part)
+    return joined
 
 
 def broadcast_cache(layout, row_cache, n):

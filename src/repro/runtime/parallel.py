@@ -80,6 +80,7 @@ from ..lang.errors import DeadlineError
 from ..lang.types import FLOAT, INT, MAT3, VEC3
 from ..obs import NULL_OBS
 from . import batch as B
+from .colors import join_colors
 
 #: Default lanes per tile.  Sized so one tile's SoA columns (~10 slots x
 #: 8 bytes x lanes) stay within a typical L2 slice while still amortizing
@@ -1315,9 +1316,11 @@ class TileExecutor(object):
         tile another way (returning ``(colors, costs)`` row lists) —
         without it the tile raises :class:`DeadlineError`.
 
-        Returns ``(values_rows, costs_rows)`` — per-lane Python values
-        and int costs in frame order, byte-identical to one full-width
-        kernel call.
+        Returns ``(colors, lane_costs)`` in frame order, byte-identical
+        to one full-width kernel call: an owned
+        :class:`~repro.runtime.colors.ColorColumn` (``None`` for a
+        ``refill``, whose kernel returns no colours) and the per-lane
+        costs (an int64 array; a list on the pure-Python path).
 
         ``on_pool_incident(kind, detail)``, when given, is called for
         every self-healing event (worker loss, redispatch, respawn,
@@ -1392,15 +1395,14 @@ class TileExecutor(object):
                 shader, partition, phase,
             )
 
-        values_rows = []
-        costs_rows = []
+        value_parts = []
+        cost_parts = []
         degraded = []
         for tile_index, (start, stop) in enumerate(plan):
             values, lane_costs, tile_cache = tiles[tile_index]
             lanes = stop - start
-            costs = B.cost_rows(lane_costs, lanes)
             if cap is not None:
-                worst = max(costs) if costs else 0
+                worst = B.cost_max(lane_costs)
                 if worst > cap:
                     if on_overrun is None:
                         raise DeadlineError(
@@ -1411,12 +1413,12 @@ class TileExecutor(object):
                     tile_values, tile_costs = on_overrun(
                         tile_index, start, stop, worst
                     )
-                    values_rows.extend(tile_values)
-                    costs_rows.extend(int(c) for c in tile_costs)
+                    value_parts.append((tile_values, lanes))
+                    cost_parts.append([int(c) for c in tile_costs])
                     degraded.append(tile_index)
                     continue
-            values_rows.extend(B.value_rows(values, lanes))
-            costs_rows.extend(costs)
+            value_parts.append((values, lanes))
+            cost_parts.append(lane_costs)
             if (
                 layout is not None and frame_cache is not None
                 and tile_cache is not None
@@ -1489,7 +1491,8 @@ class TileExecutor(object):
                 )
                 for ms in recovery.get("respawn_ms", ()):
                     histogram.observe(ms)
-        return values_rows, costs_rows
+        colors = None if refill else join_colors(value_parts)
+        return colors, B.join_costs(cost_parts)
 
     # -- serial path ---------------------------------------------------------
 

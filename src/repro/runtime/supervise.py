@@ -711,7 +711,8 @@ class RenderSupervisor(object):
                         "on_trip hook failed: %s" % exc,
                     )
         if rung_name != "lkg":
-            self._lkg[(key, phase)] = list(colors)
+            # Frames are immutable ColorColumns: keep the reference.
+            self._lkg[(key, phase)] = colors
         return colors, total, rung_name
 
     def _backoff(self, key, attempt):

@@ -181,19 +181,35 @@ def _lanewise(fn, fill):
     noise results are bit-identical to the scalar path.  Domain errors
     become ``fill`` (NaN) — the lane is either masked off, or the result
     is as invalid as the scalar run would have been.
+
+    When no argument is per-lane (all uniform controls), the builtin is
+    pure, so it runs once and its result — or ``fill`` — is broadcast
+    to every lane.
     """
 
     def run(n, *args):
-        columns = [_column_rows(a, n) for a in args]
+        if any(_per_lane(a) for a in args):
+            columns = [_column_rows(a, n) for a in args]
+        else:
+            columns = [[_column_rows(a, 1)[0]] for a in args]
         out = []
         for row in zip(*columns):
             try:
                 out.append(fn(*row))
             except (EvalError, ValueError, OverflowError, ZeroDivisionError):
                 out.append(fill)
-        return _np.asarray(out, dtype=float)
+        out = _np.asarray(out, dtype=float)
+        return out if len(out) == n else out.repeat(n, axis=0)
 
     return run
+
+
+def _per_lane(column):
+    """True for a per-lane column (a list, or an array with a lane axis),
+    False for a uniform scalar or vector."""
+    if isinstance(column, list):
+        return True
+    return isinstance(column, _np.ndarray) and column.ndim > 0
 
 
 # ---------------------------------------------------------------------------

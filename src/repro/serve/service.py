@@ -562,7 +562,9 @@ class RenderService(object):
             "height": image.height,
             "cost": image.total_cost,
             "cost_per_pixel": image.cost_per_pixel,
-            "colors": [[float(c) for c in pixel] for pixel in image.colors],
+            # Same JSON bytes as per-component float(): tolist() yields
+            # Python floats with identical reprs (NaN and -0.0 too).
+            "colors": image.colors.tolist(),
         }
 
     def _ensure_edit(self, hosted, param):

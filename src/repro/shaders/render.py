@@ -26,6 +26,7 @@ from ..obs.schema import canonical_rung
 from ..runtime import batch as B
 from ..runtime import parallel as P
 from ..runtime import values as V
+from ..runtime.colors import ColorColumn, color_column
 from ..runtime.guard import FaultLog
 from ..runtime.interp import CostMeter, Interpreter
 from ..runtime.supervise import RenderSupervisor, Rung
@@ -42,11 +43,17 @@ MAX_DIRTY_FRACTION = 0.8
 
 class Image(object):
     """A rendered frame: colors in row-major order plus the cost to
-    produce them."""
+    produce them.
+
+    ``colors`` is always a read-only
+    :class:`~repro.runtime.colors.ColorColumn`; a list of ``(r, g, b)``
+    rows passed in is copied into one."""
 
     def __init__(self, width, height, colors, total_cost):
         self.width = width
         self.height = height
+        if not isinstance(colors, ColorColumn):
+            colors = ColorColumn.from_rows(colors)
         self.colors = colors
         self.total_cost = total_cost
 
@@ -378,7 +385,7 @@ class EditSession(object):
         kernel = spec.delta_kernel(dirty)
         cache.reset_columns(dirty)
         if self._executor is not None:
-            _, costs = self._executor.run(
+            _, lane_costs = self._executor.run(
                 kernel, columns, n, frame_cache=cache, layout=spec.layout,
                 width=session.scene.width, obs=self.obs,
                 shader=session.spec_info.name, partition=self.param,
@@ -386,11 +393,8 @@ class EditSession(object):
                 on_pool_incident=self._pool_incident_hook("delta"),
             )
         else:
-            values, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-            costs = B.cost_rows(lane_costs, n)
-        if self.obs.enabled:
-            self._observe_pixel_costs("delta", costs)
-        return sum(costs)
+            _, lane_costs = kernel.run_lanes(columns, n, cache=cache)
+        return self._frame_cost(lane_costs, n, None, "delta")
 
     def _refill_scalar(self, controls, dirty):
         """Per-pixel delta-loader sweep over the existing scalar caches
@@ -480,6 +484,19 @@ class EditSession(object):
             counter.inc(shader=shader, partition=param, phase=incident.phase)
 
         return hook
+
+    def _frame_cost(self, lane_costs, n, cap, phase):
+        """Exact frame total of one batch run's per-lane costs.
+
+        Under a step ``cap`` the worst lane is checked first; the
+        per-pixel histogram is fed only when telemetry is on."""
+        if cap is not None:
+            self._lane_deadline(
+                lane_costs, cap, "loader" if phase == "load" else "reader"
+            )
+        if self.obs.enabled:
+            self._observe_pixel_costs(phase, B.cost_rows(lane_costs, n))
+        return B.cost_total(lane_costs)
 
     def _observe_pixel_costs(self, phase, costs):
         """Feed exact per-pixel CostMeter totals into the step
@@ -595,7 +612,7 @@ class EditSession(object):
                 pixel_costs.append(cost)
         if observe:
             self._observe_pixel_costs("load", pixel_costs)
-        return colors, caches, total
+        return ColorColumn.from_rows(colors), caches, total
 
     def _adjust_scalar(self, controls, cap=None):
         """Per-pixel reader sweep; returns ``(colors, total)``.
@@ -629,7 +646,7 @@ class EditSession(object):
                 pixel_costs.append(cost)
         if observe:
             self._observe_pixel_costs("adjust", pixel_costs)
-        return colors, total
+        return ColorColumn.from_rows(colors), total
 
     def _table_interp(self, cap):
         """The shared dispatch-table interpreter, or a tighter-budget
@@ -650,8 +667,8 @@ class EditSession(object):
         n = len(session.scene)
         columns = session.batch_args(controls)
         if self.guard is not None:
-            colors, cache, total = self.guard.run_loader_batch(columns, n)
-            return colors, cache, total
+            rows, cache, total = self.guard.run_loader_batch(columns, n)
+            return ColorColumn.from_rows(rows), cache, total
         if self.table is not None:
             cache = B.SoACache(self.table.layout, n)
             if self._loader_kernel is None:
@@ -660,30 +677,14 @@ class EditSession(object):
                     max_steps=self.specialization.options.max_steps,
                 )
             values, total = self._loader_kernel.run(columns, n, cache=cache)
-            return B.value_rows(values, n), cache, total
+            return color_column(values, n, cache.columns), cache, total
         if self._executor is not None:
             return self._load_batch_tiled(columns, n, cap)
-        if cap is None:
-            if self.obs.enabled:
-                # run() literally sums run_lanes(), so splitting out the
-                # per-lane costs keeps the frame total byte-identical.
-                cache = self.specialization.new_batch_cache(n)
-                kernel = self.specialization.batch_kernel("loader")
-                values, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-                costs = B.cost_rows(lane_costs, n)
-                self._observe_pixel_costs("load", costs)
-                return B.value_rows(values, n), cache, sum(costs)
-            values, cache, total = self.specialization.run_loader_batch(
-                columns, n
-            )
-            return B.value_rows(values, n), cache, total
         cache = self.specialization.new_batch_cache(n)
         kernel = self.specialization.batch_kernel("loader", cap)
         values, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-        costs = self._lane_deadline(lane_costs, n, cap, "loader")
-        if self.obs.enabled:
-            self._observe_pixel_costs("load", costs)
-        return B.value_rows(values, n), cache, sum(costs)
+        total = self._frame_cost(lane_costs, n, cap, "load")
+        return color_column(values, n, cache.columns), cache, total
 
     def _adjust_batch(self, controls, cap=None):
         """Whole-frame reader invocation; returns ``(colors, total)``."""
@@ -691,52 +692,38 @@ class EditSession(object):
         n = len(session.scene)
         columns = session.batch_args(controls)
         if self.guard is not None:
-            return self.guard.run_reader_batch(self.caches, columns, n)
-        if self.table is not None:
-            return B.run_dispatch(
-                self.table, self._variant_kernel, self.caches, columns, n
-            )
-        if self._executor is not None and isinstance(self.caches, B.SoACache):
-            return self._adjust_batch_tiled(columns, n, cap, controls)
-        if cap is None:
-            if self.obs.enabled:
-                kernel = self.specialization.batch_kernel("reader")
-                values, lane_costs = kernel.run_lanes(
-                    columns, n, cache=self.caches
-                )
-                costs = B.cost_rows(lane_costs, n)
-                self._observe_pixel_costs("adjust", costs)
-                return B.value_rows(values, n), sum(costs)
-            values, total = self.specialization.run_reader_batch(
+            rows, total = self.guard.run_reader_batch(
                 self.caches, columns, n
             )
-            return B.value_rows(values, n), total
+            return ColorColumn.from_rows(rows), total
+        if self.table is not None:
+            rows, total = B.run_dispatch(
+                self.table, self._variant_kernel, self.caches, columns, n
+            )
+            return ColorColumn.from_rows(rows), total
+        if self._executor is not None and isinstance(self.caches, B.SoACache):
+            return self._adjust_batch_tiled(columns, n, cap, controls)
         kernel = self.specialization.batch_kernel("reader", cap)
         values, lane_costs = kernel.run_lanes(
             columns, n, cache=self.caches
         )
-        costs = self._lane_deadline(lane_costs, n, cap, "reader")
-        if self.obs.enabled:
-            self._observe_pixel_costs("adjust", costs)
-        return B.value_rows(values, n), sum(costs)
+        total = self._frame_cost(lane_costs, n, cap, "adjust")
+        return color_column(values, n, self.caches.columns), total
 
     @staticmethod
-    def _lane_deadline(lane_costs, n, cap, which):
+    def _lane_deadline(lane_costs, cap, which):
         """Enforce a per-pixel step deadline on the vectorized path.
 
         The vectorized kernel cannot abort mid-frame the way the scalar
         interpreter does, so the budget is checked post hoc per lane;
         the frame is discarded (never committed) when any lane blew it.
-        Returns the per-pixel cost rows when every lane is within budget.
         """
-        costs = B.cost_rows(lane_costs, n)
-        worst = max(costs) if costs else 0
+        worst = B.cost_max(lane_costs)
         if worst > cap:
             raise DeadlineError(
                 "batch %s blew the per-pixel step deadline "
                 "(%d steps > budget %d)" % (which, worst, cap)
             )
-        return costs
 
     def _variant_kernel(self, code):
         kernel = self._variant_kernels.get(code)
@@ -761,16 +748,14 @@ class EditSession(object):
         # ordinary SoACache otherwise.
         cache = self._executor.new_frame_cache(spec.layout, n)
         kernel = spec.batch_kernel("loader", cap)
-        colors, costs = self._executor.run(
+        colors, lane_costs = self._executor.run(
             kernel, columns, n, frame_cache=cache, layout=spec.layout,
             width=session.scene.width, cap=cap, obs=self.obs,
             shader=session.spec_info.name, partition=self.param,
             phase="load",
             on_pool_incident=self._pool_incident_hook("load"),
         )
-        if self.obs.enabled:
-            self._observe_pixel_costs("load", costs)
-        return colors, cache, sum(costs)
+        return colors, cache, self._frame_cost(lane_costs, n, None, "load")
 
     def _adjust_batch_tiled(self, columns, n, cap, controls):
         """Reader sharded into tiles over contiguous frame-cache views.
@@ -788,16 +773,14 @@ class EditSession(object):
             if cap is not None and self.supervisor is not None
             else None
         )
-        colors, costs = self._executor.run(
+        colors, lane_costs = self._executor.run(
             kernel, columns, n, frame_cache=self.caches, cap=cap,
             width=session.scene.width, on_overrun=on_overrun,
             obs=self.obs, shader=session.spec_info.name,
             partition=self.param, phase="adjust",
             on_pool_incident=self._pool_incident_hook("adjust"),
         )
-        if self.obs.enabled:
-            self._observe_pixel_costs("adjust", costs)
-        return colors, sum(costs)
+        return colors, self._frame_cost(lane_costs, n, None, "adjust")
 
     def _pool_incident_hook(self, phase):
         """Routes the executor's self-healing events (worker losses,
@@ -853,14 +836,14 @@ class EditSession(object):
             values, total = spec.run_original_batch(
                 session.batch_args(controls), n
             )
-            return B.value_rows(values, n), total
+            return color_column(values, n), total
         colors = []
         total = 0
         for pixel in session.scene:
             result, cost = spec.run_original(session.args_for(pixel, controls))
             colors.append(result)
             total += cost
-        return colors, total
+        return ColorColumn.from_rows(colors), total
 
     def _supervised_load(self, controls):
         supervisor = self.supervisor
@@ -1074,18 +1057,13 @@ class RenderSession(object):
         return columns
 
     def _geometry(self):
+        """The scene's read-only (u, v, P, N, I) columns — or, when the
+        batch backend runs without NumPy, their per-lane rows."""
         if self._geometry_columns is None:
-            pixels = self.scene.pixels
-            columns = [
-                [p.u for p in pixels],
-                [p.v for p in pixels],
-                [p.P for p in pixels],
-                [p.N for p in pixels],
-                [p.I for p in pixels],
-            ]
             if B.HAVE_NUMPY:
-                columns = [B._np.asarray(c) for c in columns]
-            self._geometry_columns = columns
+                self._geometry_columns = self.scene.columns()
+            else:
+                self._geometry_columns = self.scene.row_columns()
         return self._geometry_columns
 
     def controls_with(self, **updates):
@@ -1116,7 +1094,7 @@ class RenderSession(object):
             values, total = spec.run_original_batch(
                 self.batch_args(controls), n
             )
-            colors = B.value_rows(values, n)
+            colors = color_column(values, n)
             return Image(self.scene.width, self.scene.height, colors, total)
         colors = []
         total = 0

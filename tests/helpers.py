@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.core.specializer import DataSpecializer, SpecializerOptions
 from repro.lang.parser import parse_program
+from repro.runtime import values as V
 from repro.runtime.values import values_close
 
 
@@ -60,3 +63,36 @@ def vary(base_args, param_names, varying_name, value):
     out = list(base_args)
     out[list(param_names).index(varying_name)] = value
     return out
+
+
+def per_pixel_scene(kind, width, height):
+    """Oracle for the column scene builders: the per-pixel loop scenes
+    were built with before they became columns.  Returns one
+    ``(x, y, u, v, P, N, I)`` tuple per pixel in row-major order, for
+    the default parameters of ``sphere_scene``/``wall_scene``."""
+    eye = (0.0, 0.0, -5.0)
+    pixels = []
+    for y in range(height):
+        for x in range(width):
+            u = (x + 0.5) / width
+            v = (y + 0.5) / height
+            if kind == "sphere":
+                radius, center = 1.5, (0.0, 0.0, 1.0)
+                theta = (v - 0.5) * math.pi * 0.8
+                phi = (u - 0.5) * math.pi * 0.8
+                nx = math.cos(theta) * math.sin(phi)
+                ny = math.sin(theta)
+                nz = -math.cos(theta) * math.cos(phi)
+                N = (nx, ny, nz)
+                P = (
+                    center[0] + radius * nx,
+                    center[1] + radius * ny,
+                    center[2] + radius * nz,
+                )
+            else:
+                extent, depth = 2.0, 2.0
+                N = (0.0, 0.0, -1.0)
+                P = ((u - 0.5) * extent, (v - 0.5) * extent, depth)
+            I = V.vnormalize(V.vsub(P, eye))
+            pixels.append((x, y, u, v, P, N, I))
+    return pixels

@@ -194,10 +194,10 @@ def test_pool_engages_and_matches_serial():
     pv, pc = pooled.run(loader, columns, n, frame_cache=cache2,
                         layout=spec.layout, width=8)
     assert pooled.last_stats.pooled is True
-    assert lv == pv and lc == pc
+    assert lv == pv and lc.tolist() == pc.tolist()
     rv, rc = serial.run(kernel, columns, n, frame_cache=cache, width=8)
     qv, qc = pooled.run(kernel, columns, n, frame_cache=cache2, width=8)
-    assert rv == qv and rc == qc
+    assert rv == qv and rc.tolist() == qc.tolist()
 
 
 # -- per-tile deadlines ------------------------------------------------------
