@@ -38,6 +38,9 @@ from .lang.errors import (
 from .lang.parser import parse_program
 from .lang.pretty import format_function
 from .runtime.interp import Interpreter
+from .runtime.parallel import (
+    effective_transport, resolve_tile, resolve_workers,
+)
 
 
 def _parse_scalar(text):
@@ -48,6 +51,23 @@ def _parse_scalar(text):
         return int(text)
     except ValueError:
         raise SystemExit("cannot parse %r as a scalar value" % text)
+
+
+def _pool_knob(resolve):
+    """An argparse ``type=`` for ``--workers``/``--tile``: the knob is
+    resolved once at parse time, so a bad spelling exits 2 with the
+    resolver's message (which names the accepted spellings)."""
+    def parse(text):
+        try:
+            return resolve(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return parse
+
+
+_WORKERS_ARG = _pool_knob(resolve_workers)
+_TILE_ARG = _pool_knob(resolve_tile)
 
 
 def _parse_bindings(text):
@@ -276,21 +296,12 @@ def cmd_render(args, out):
         )
     injector = _chaos_injector(args)
     obs = _resolve_obs_flag(args)
-    from .runtime.parallel import resolve_tile, resolve_workers
-
-    try:
-        # Keep the raw spec: "threads:4"/"fork" carry the transport
-        # choice through the session; validate both knobs eagerly.
-        workers = args.workers
-        resolve_workers(workers)
-        tile = resolve_tile(args.tile)
-    except ValueError as exc:
-        raise SystemExit("bad --workers/--tile: %s" % exc)
+    # render/health/serve always tile: no --tile means the default size.
     session = RenderSession(
         args.shader, width=args.size, height=args.size, backend=args.backend,
         guard=args.guard or args.inject_rate > 0.0,
         policy=_supervision_policy(args), obs=obs,
-        workers=workers, tile=tile,
+        workers=args.workers, tile=resolve_tile(args.tile),
         pool_policy=_pool_policy_from_args(args),
         incremental=args.incremental,
     )
@@ -343,8 +354,7 @@ def cmd_render(args, out):
                 "height": session.scene.height,
                 "backend": edit.backend,
                 "config": execution_config(
-                    edit.backend, edit.workers, edit.tile,
-                    transport=edit.transport,
+                    edit.backend, edit.workers, edit.tile
                 ),
                 "param": param,
                 "load_cost": image.total_cost,
@@ -360,14 +370,12 @@ def cmd_render(args, out):
         )
         out.write("\n")
     else:
-        from .runtime.parallel import effective_transport
-
         out.write(
             "shader %d (%s): %dx%d via %s backend "
             "(workers %d, transport %s), drag %r\n"
             % (args.shader, session.spec_info.name, session.scene.width,
                session.scene.height, edit.backend, edit.workers,
-               effective_transport(edit.workers, edit.transport), param)
+               effective_transport(edit.workers), param)
         )
         out.write(
             "load:   cost %d (%.1f/pixel), cache %dB/pixel\n"
@@ -495,18 +503,10 @@ def cmd_health(args, out):
             "no shader %d (have %s)"
             % (args.shader, ", ".join(str(i) for i in sorted(SHADERS)))
         )
-    from .runtime.parallel import resolve_tile, resolve_workers
-
-    try:
-        workers = args.workers
-        resolve_workers(workers)
-        tile = resolve_tile(args.tile)
-    except ValueError as exc:
-        raise SystemExit("bad --workers/--tile: %s" % exc)
     session = RenderSession(
         args.shader, width=args.size, height=args.size, backend=args.backend,
         guard=True, policy=_supervision_policy(args),
-        workers=workers, tile=tile,
+        workers=args.workers, tile=resolve_tile(args.tile),
         pool_policy=_pool_policy_from_args(args),
     )
     param = args.param or session.spec_info.control_params[0]
@@ -551,16 +551,9 @@ def cmd_health(args, out):
 def cmd_serve(args, out):
     """Run the fault-tolerant multi-tenant render daemon (see
     ``docs/operations.md``)."""
-    from .runtime.parallel import resolve_tile, resolve_workers
     from .serve import RenderService, ServiceConfig
     from .serve.http import run_daemon
 
-    try:
-        workers = args.workers
-        resolve_workers(workers)
-        tile = resolve_tile(args.tile)
-    except ValueError as exc:
-        raise SystemExit("bad --workers/--tile: %s" % exc)
     config = ServiceConfig(
         store_dir=args.store,
         max_sessions=args.max_sessions,
@@ -574,8 +567,8 @@ def cmd_serve(args, out):
         max_pixels=args.max_pixels,
         policy=_supervision_policy(args),
         backend=args.backend,
-        workers=workers,
-        tile=tile,
+        workers=args.workers,
+        tile=resolve_tile(args.tile),
         pool_policy=_pool_policy_from_args(args),
         recover=not args.no_recover,
         proc_chaos_rate=args.inject_proc_rate,
@@ -925,13 +918,13 @@ def build_parser():
                    choices=["scalar", "batch", "auto"],
                    help="execution backend (default: auto — batch "
                         "kernels when NumPy is available)")
-    p.add_argument("--workers", default=None,
+    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
                    help="tiled-scheduler workers for the batch backend: "
-                        "a count, 'auto' (one per usable core, "
-                        "zero-copy fork transport when available), "
-                        "'fork[:N]', or 'threads[:N]' for the in-process "
-                        "thread transport (default: 1, single-process)")
-    p.add_argument("--tile", type=int, default=None,
+                        "a count, 'auto' (one per usable core), or "
+                        "'fork[:N]'; more than one runs tiles on the "
+                        "zero-copy fork/shm pool when available, else "
+                        "serially in-process (default: 1)")
+    p.add_argument("--tile", type=_TILE_ARG, default=None,
                    help="lanes per scheduler tile (default: 2048, "
                         "rounded to whole scan lines)")
     p.add_argument("--incremental", action="store_true",
@@ -1002,11 +995,11 @@ def build_parser():
                         "and probe recovery)")
     p.add_argument("--inject-seed", type=int, default=0,
                    help="corruption seed")
-    p.add_argument("--workers", default=None,
-                   help="tiled-scheduler workers (count, 'auto', "
-                        "'fork[:N]', 'threads[:N]'); with a pool the "
-                        "report gains the self-healing pool section")
-    p.add_argument("--tile", type=int, default=None,
+    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
+                   help="tiled-scheduler workers (a count, 'auto', or "
+                        "'fork[:N]'); with a pool the report gains the "
+                        "self-healing pool section")
+    p.add_argument("--tile", type=_TILE_ARG, default=None,
                    help="lanes per scheduler tile")
     p.add_argument("--inject-proc-rate", type=float, default=0.0,
                    help="process-level fault rate per dispatched chunk "
@@ -1058,10 +1051,10 @@ def build_parser():
                    help="per-session frame-size ceiling (width*height)")
     p.add_argument("--backend", default=None,
                    choices=["scalar", "batch", "auto"])
-    p.add_argument("--workers", default=None,
-                   help="tiled-scheduler workers per session (count, "
-                        "'auto', 'fork[:N]', 'threads[:N]')")
-    p.add_argument("--tile", type=int, default=None,
+    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
+                   help="tiled-scheduler workers per session (a count, "
+                        "'auto', or 'fork[:N]')")
+    p.add_argument("--tile", type=_TILE_ARG, default=None,
                    help="lanes per scheduler tile")
     p.add_argument("--pool-deadline-ms", type=float, default=None,
                    help="hung-worker deadline for the self-healing pool")
@@ -1095,11 +1088,11 @@ def build_parser():
                    choices=["scalar", "batch", "auto"])
     p.add_argument("--adjusts", type=int, default=4,
                    help="number of adjust requests to trace")
-    p.add_argument("--workers", default=None,
-                   help="tiled-scheduler workers (count, 'auto', "
-                        "'fork[:N]', 'threads[:N]'); render.tile spans "
-                        "then carry the transport attribute")
-    p.add_argument("--tile", type=int, default=None,
+    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
+                   help="tiled-scheduler workers (a count, 'auto', or "
+                        "'fork[:N]'); render.tile spans then carry the "
+                        "transport attribute")
+    p.add_argument("--tile", type=_TILE_ARG, default=None,
                    help="lanes per scheduler tile")
     p.add_argument("--out", default=None,
                    help="write the Chrome trace-event file here")
@@ -1151,11 +1144,11 @@ def build_parser():
                    help="also run a load+adjust drag per partition so "
                         "runtime counters (frames, fills, hits, "
                         "per-pixel cost histograms) populate too")
-    p.add_argument("--workers", default=None,
+    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
                    help="tiled-scheduler workers for --render drags "
-                        "(count, 'auto', 'fork[:N]', 'threads[:N]'); "
-                        "populates the shm/warm-worker gauges")
-    p.add_argument("--tile", type=int, default=None,
+                        "(a count, 'auto', or 'fork[:N]'); populates "
+                        "the shm/warm-worker gauges")
+    p.add_argument("--tile", type=_TILE_ARG, default=None,
                    help="lanes per scheduler tile for --render drags")
     p.set_defaults(handler=cmd_stats)
 

@@ -38,11 +38,7 @@ from ..lang.pretty import format_function
 from ..lang.typecheck import check_program
 from ..obs import NULL_OBS, resolve_obs
 from ..runtime.batch import BatchKernel, resolve_backend
-from ..runtime.parallel import (
-    resolve_tile,
-    resolve_transport,
-    resolve_workers,
-)
+from ..runtime.parallel import resolve_tile, resolve_workers
 from ..runtime.compiler import compile_function
 from ..runtime.interp import CostMeter, Interpreter
 from ..transform.inline import Inliner
@@ -413,11 +409,10 @@ class DataSpecializer(object):
         #: ("scalar" or "batch"; "auto" resolves at construction).
         self.backend = resolve_backend(backend)
         #: Tiled-scheduler knobs for session-level drivers: worker-pool
-        #: size (1 = in-process; ``"auto"`` = one per core;
-        #: ``"fork[:N]"``/``"threads[:N]"`` pin the transport) and lanes
-        #: per tile (None = untiled unless a pool is requested).
+        #: size (1 = in-process; ``"auto"``/``"fork"`` = one per core;
+        #: ``"fork:N"`` = N) and lanes per tile (None = untiled unless a
+        #: pool is requested).
         self.workers = resolve_workers(workers)
-        self.transport = resolve_transport(workers)
         if tile is not None:
             resolve_tile(tile)  # validate eagerly; keep None distinct
         self.tile = tile

@@ -86,22 +86,20 @@ def canonical_endpoint(name):
 
 
 #: Result transports the tiled scheduler reports (``execution_config``
-#: reports the static resolution; ``render.tile`` spans additionally
-#: split the fork path into ``shm`` vs ``pickle`` per run).
-TRANSPORTS = ("serial", "fork", "threads", "shm", "pickle")
+#: reports the static resolution; ``render.tile`` spans the per-run one).
+TRANSPORTS = ("serial", "shm")
 
 
-def execution_config(backend, workers, tile, transport=None):
+def execution_config(backend, workers, tile):
     """The canonical execution-configuration mapping every JSON surface
     shares (``repro render --json``, bench reports): the *effective*
-    backend/worker/tile/transport knobs after resolution, not what the
-    user typed.
+    backend/worker/tile/transport after resolution, not what the user
+    typed.
 
     ``tile`` may be None (the scheduler default applies only when a
     tiled executor actually runs); it is reported as the resolved lane
     count either way so consumers never see two spellings of "default".
-    ``transport`` defaults to whatever the ``workers`` spec implies
-    (``"threads:4"`` implies threads; plain counts imply auto).
+    ``transport`` is what a multi-tile frame would use for ``workers``.
     """
     canonical = str(backend).strip().lower().replace("-", "_")
     if canonical not in BACKENDS:
@@ -116,5 +114,5 @@ def execution_config(backend, workers, tile, transport=None):
         "backend": canonical,
         "workers": resolve_workers(workers),
         "tile": resolve_tile(tile),
-        "transport": effective_transport(workers, transport),
+        "transport": effective_transport(workers),
     }

@@ -3,26 +3,22 @@
 The batch backend (``runtime/batch.py``) executes one whole-frame kernel
 call per request; this module shards that call into cache-friendly
 **tiles** — contiguous, row-aligned lane spans — and executes them
-serially, on a persistent ``fork`` worker pool, or on a thread pool:
+either on a persistent ``fork`` worker pool or serially in-process:
 
 * :func:`plan_tiles` — deterministic tile spans over the pixel grid,
   independent of the worker count, so the work decomposition (and hence
   every per-lane result) is a pure function of ``(n, tile, width)``.
 * :class:`TileExecutor` — runs a :class:`~repro.runtime.batch
-  .BatchKernel` over every tile, picking a result **transport**:
+  .BatchKernel` over every tile, over one of two **transports**:
 
-  - ``shm`` (the fork default): SoA columns live in
-    :class:`~repro.runtime.batch.ShmArena` shared-memory segments, so a
-    worker writes its tiles' rows directly into the parent's frame —
-    only a tiny per-tile descriptor (token, span, filled-mask summary)
-    crosses the pipe.
-  - ``pickle``: the PR-5 fallback when a kernel or cache cannot use
-    shared columns (non-vectorized kernels, demoted columns, exotic
-    result types) — tile segments are pickled across the pipe.
-  - ``threads``: a :class:`~concurrent.futures.ThreadPoolExecutor`
-    sharing the parent address space, for NumPy-heavy kernels that
-    release the GIL (``workers="threads"``); zero-copy by construction.
-  - ``serial``: single worker or single tile.
+  - ``shm``: SoA columns live in :class:`~repro.runtime.batch.ShmArena`
+    shared-memory segments, so a pool worker writes its tiles' rows
+    directly into the parent's frame — only a tiny per-tile descriptor
+    (token, span, filled-mask summary) crosses the pipe.
+  - ``serial``: every other case — a single worker or tile, no fork or
+    shared memory, no NumPy, a non-vectorized kernel, a diverged cache,
+    no fixed result layout, an open pool breaker, or a quarantined
+    kernel.  The tiles run in-process, byte-identical to ``shm``.
 
 Workers are persistent and **warm**: each pool worker keeps the kernels
 it has built, keyed by :meth:`TileExecutor._token_for` tokens, and the
@@ -60,8 +56,8 @@ worker's tiles are re-dispatched to surviving warm workers, then to an
 in-process fallback, so the frame still completes byte-identically;
 the worker is respawned under a bounded, seeded-backoff restart budget.
 Budget exhaustion trips a per-pool breaker (:class:`PoolBreaker`) that
-degrades subsequent frames to the threads/serial transports until a
-half-open probe refills the pool.  Kernels that repeatedly kill their
+degrades subsequent frames to the serial transport until a half-open
+probe refills the pool.  Kernels that repeatedly kill their
 workers are quarantined to the serial path, and shm segments orphaned
 by crashed children are reclaimed (:func:`~repro.runtime.batch
 .reclaim_orphaned_segments`).  :func:`pool_health` reports all of it.
@@ -73,6 +69,7 @@ import atexit
 import itertools
 import os
 import random
+import statistics
 import time
 from collections import deque
 
@@ -88,11 +85,6 @@ from .colors import join_colors
 #: measured tuning table.
 DEFAULT_TILE = 2048
 
-#: Transport modes a ``workers=`` spec can request (``"auto"`` defers to
-#: fork-availability; the per-run transport additionally distinguishes
-#: ``shm`` vs ``pickle`` on the fork path and can demote to ``serial``).
-TRANSPORTS = ("auto", "fork", "threads")
-
 
 def usable_cores():
     """CPU cores this process may actually run on (cgroup/affinity
@@ -103,89 +95,65 @@ def usable_cores():
         return os.cpu_count() or 1
 
 
-def _parse_workers_spec(workers):
-    """``workers=`` knob -> ``(count, transport)``.
-
-    Accepts ``None``/``0``/``1`` (serial), ``"auto"`` (one worker per
-    usable core, transport auto), an int, ``"fork"``/``"threads"``
-    (per-core count with a pinned transport), or ``"fork:N"``/
-    ``"threads:N"``.
-    """
-    if workers is None:
-        return 1, "auto"
-    if isinstance(workers, str):
-        spec = workers.strip().lower()
-        if spec == "auto":
-            return max(1, usable_cores()), "auto"
-        for mode in ("fork", "threads"):
-            if spec == mode:
-                return max(1, usable_cores()), mode
-            if spec.startswith(mode + ":"):
-                count = int(spec[len(mode) + 1:])
-                if count < 1:
-                    raise ValueError(
-                        "workers must be >= 1, got %r" % (workers,)
-                    )
-                return count, mode
-        try:
-            workers = int(spec)
-        except ValueError:
-            raise ValueError(
-                "bad workers spec %r (expected a count, 'auto', "
-                "'fork[:N]', or 'threads[:N]')" % (workers,)
-            )
-    count = int(workers)
-    if count == 0:
-        return 1, "auto"
-    if count < 1:
-        raise ValueError("workers must be >= 1, got %r" % (workers,))
-    return count, "auto"
-
-
 def resolve_workers(workers):
     """Normalize the ``workers=`` knob to a worker count.
 
-    ``None``/``0``/``1`` mean single-process execution; ``"auto"`` means
-    one worker per usable CPU core; ``"fork[:N]"``/``"threads[:N]"`` pin
-    the transport (see :func:`resolve_transport`); any other positive
-    int is taken literally (more workers than cores is allowed — useful
-    for testing the pool path on small hosts).
+    ``None``/``0``/``1`` mean single-process execution; ``"auto"`` (or
+    bare ``"fork"``) means one worker per usable CPU core; ``"fork:N"``
+    means N workers; any other positive int is taken literally (more
+    workers than cores is allowed — useful for testing the pool path on
+    small hosts).  Anything else raises :class:`ValueError` naming the
+    accepted spellings.
     """
-    return _parse_workers_spec(workers)[0]
+    if workers is None:
+        return 1
+    floor = 0
+    if isinstance(workers, str):
+        spec = workers.strip().lower()
+        if spec in ("auto", "fork"):
+            return max(1, usable_cores())
+        if spec.startswith("fork:"):
+            spec, floor = spec[len("fork:"):], 1
+        try:
+            count = int(spec)
+        except ValueError:
+            count = None
+    else:
+        count = int(workers)
+    if count is None or count < floor:
+        raise ValueError(
+            "bad workers spec %r (expected a count, 'auto', or "
+            "'fork[:N]')" % (workers,)
+        )
+    return max(1, count)
 
 
-def resolve_transport(workers):
-    """The transport a ``workers=`` spec requests: ``"auto"`` (fork when
-    available), ``"fork"``, or ``"threads"``."""
-    return _parse_workers_spec(workers)[1]
+def _pool_available():
+    """True when the zero-copy fork/shm pool can run at all here."""
+    return B.HAVE_NUMPY and B.HAVE_SHM and _fork_available()
 
 
-def effective_transport(workers, transport=None):
+def effective_transport(workers):
     """Static transport resolution for config reporting (``repro render
     --json``): what a multi-tile frame would use.  Per-run conditions
-    (single tile, non-vectorized kernel) can still demote to serial, and
-    the fork path reports the finer ``shm``/``pickle`` split per span.
+    (single tile, non-vectorized kernel, open breaker) can still demote
+    a run to serial; ``render.tile`` spans report the per-run choice.
     """
-    count, spec_mode = _parse_workers_spec(workers)
-    mode = spec_mode if transport is None else transport
-    if count <= 1:
-        return "serial"
-    if mode == "auto":
-        mode = "fork" if _fork_available() else "threads"
-    if mode == "fork" and not _fork_available():
-        mode = "threads"
-    if mode == "threads" and not B.HAVE_NUMPY:
-        return "serial"
-    return mode
+    if resolve_workers(workers) > 1 and _pool_available():
+        return "shm"
+    return "serial"
 
 
 def resolve_tile(tile):
     """Normalize the ``tile=`` knob (lanes per tile; None = default)."""
     if tile is None:
         return DEFAULT_TILE
-    size = int(tile)
+    try:
+        size = int(tile)
+    except ValueError:
+        size = 0
     if size < 1:
-        raise ValueError("tile must be >= 1, got %r" % (tile,))
+        raise ValueError("bad tile %r (expected a lane count >= 1)" % (tile,))
     return size
 
 
@@ -346,10 +314,10 @@ class PoolBreaker(object):
 
     Run-counted like the supervisor's :class:`~repro.runtime.supervise
     .CircuitBreaker` (no wall clock, so replays are deterministic):
-    while open, pooled runs degrade to threads/serial; after
-    ``cooldown`` fork-eligible runs a half-open probe forks a fresh
-    pool, closing on success and re-opening (with doubled, seeded-
-    jittered cooldown) if the probe's pool blows its budget too.
+    while open, pooled runs degrade to serial; after ``cooldown``
+    shm-eligible runs a half-open probe forks a fresh pool, closing on
+    success and re-opening (with doubled, seeded-jittered cooldown) if
+    the probe's pool blows its budget too.
     """
 
     def __init__(self):
@@ -364,7 +332,7 @@ class PoolBreaker(object):
         self.probe_at = None
 
     def allow_fork(self, policy):
-        """Advance breaker time by one fork-eligible run; True when the
+        """Advance breaker time by one shm-eligible run; True when the
         run may use the fork pool (closed, or a half-open probe)."""
         self.runs += 1
         if self.state == "open" and self.runs >= self.probe_at:
@@ -407,16 +375,6 @@ _KERNEL_STRIKES = {}
 _QUARANTINE = {}
 
 
-def _median(samples):
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def pool_health():
     """Self-healing state for ``repro health`` / smoke tooling: loss,
     redispatch, respawn, quarantine, breaker, and reclamation counters
@@ -440,7 +398,10 @@ def pool_health():
         "quarantine_routed": health.quarantine_routed,
         "reclaimed_segments": health.reclaimed_segments,
         "reclaimed_bytes": health.reclaimed_bytes,
-        "respawn_ms_median": _median(health.respawn_ms),
+        "respawn_ms_median": (
+            statistics.median(health.respawn_ms)
+            if health.respawn_ms else None
+        ),
         "respawn_samples": len(health.respawn_ms),
         "breaker": _BREAKER.as_dict(),
         "incidents": list(health.incidents),
@@ -528,15 +489,6 @@ class _SpanBuffer(object):
         }
 
 
-def _cost_total(lane_costs):
-    """Picklable scalar total of a per-lane cost vector (ndarray or
-    list) for span attributes; None when it cannot be summed."""
-    try:
-        return int(sum(lane_costs))
-    except (TypeError, ValueError):  # pragma: no cover - exotic kernel
-        return None
-
-
 def _worker_main(conn):
     """Pool worker loop: recv a chunk payload, run it, send the result.
 
@@ -582,7 +534,6 @@ def _worker_main(conn):
             spans = _SpanBuffer(trace["epoch"])
             chunk = spans.begin(
                 "worker.chunk",
-                mode=payload.get("mode"),
                 tiles=len(payload.get("jobs") or ()),
                 warm=payload.get("token") in kernels,
                 **(trace.get("attrs") or {})
@@ -763,9 +714,6 @@ class WorkerPool(object):
 #: The single persistent fork pool (rebuilt when ``workers=`` changes).
 _POOL = None
 
-#: The persistent thread pool as ``(count, ThreadPoolExecutor)``.
-_THREADS = None
-
 
 def _get_pool(workers):
     """The persistent fork pool, torn down and rebuilt when the worker
@@ -790,33 +738,12 @@ def _discard_pool():
         pool.shutdown()
 
 
-def _get_thread_pool(workers):
-    global _THREADS
-    if _THREADS is not None and _THREADS[0] != workers:
-        _THREADS[1].shutdown(wait=True)
-        _THREADS = None
-    if _THREADS is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _THREADS = (
-            workers,
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-tile"
-            ),
-        )
-    return _THREADS[1]
-
-
 def shutdown_pools():
-    """Stop every persistent worker pool, unlink every live
+    """Stop the persistent worker pool, unlink every live
     shared-memory segment, and reclaim any segment a crashed child
     orphaned (tests, interpreter exit).  Breaker and quarantine state
-    is pool-scoped, so it resets with the pools."""
-    global _THREADS
+    is pool-scoped, so it resets with the pool."""
     _discard_pool()
-    if _THREADS is not None:
-        _THREADS[1].shutdown(wait=True)
-        _THREADS = None
     B.release_all_arenas()
     segments, nbytes = B.reclaim_orphaned_segments()
     if segments:
@@ -865,41 +792,7 @@ def _run_chunk(payload, kernels, spans=None):
             finally:
                 spans.end(install)
         kernels[token] = kernel
-    if payload["mode"] == "shm":
-        return _run_shm_chunk(payload, kernel, spans)
-    return _run_pickle_chunk(payload, kernel, spans)
-
-
-def _run_pickle_chunk(payload, kernel, spans=None):
-    """The everything-over-the-pipe transport: each job carries its own
-    sliced argument columns (and, for readers, its cache segment);
-    results and loader tile caches are pickled back."""
-    layout = payload["layout"]
-    out = []
-    for tile_index, start, stop, cols, tile_cache in payload["jobs"]:
-        lanes = stop - start
-        if layout is not None:
-            tile_cache = B.SoACache(layout, lanes)
-        if spans is None:
-            values, lane_costs = kernel.run_lanes(
-                cols, lanes, cache=tile_cache
-            )
-        else:
-            tile_span = spans.begin(
-                "worker.tile", tile=tile_index, lanes=lanes
-            )
-            try:
-                values, lane_costs = kernel.run_lanes(
-                    cols, lanes, cache=tile_cache
-                )
-            finally:
-                spans.end(tile_span)
-            tile_span[6]["cost"] = _cost_total(lane_costs)
-        out.append((
-            tile_index, values, lane_costs,
-            tile_cache if layout is not None else None,
-        ))
-    return out
+    return _run_shm_chunk(payload, kernel, spans)
 
 
 def _view_tile_cache(arena, layout, states, start, stop):
@@ -923,10 +816,10 @@ def _store_tile(frame, values_buf, costs_buf, loader,
     """Write one tile's results into the shared planes.
 
     Returns ``(tile_index, "shm", states)`` on success or
-    ``(tile_index, "pickle", (values, costs, cache))`` when anything
+    ``(tile_index, "pipe", (values, costs, cache))`` when anything
     about the tile's shapes/dtypes does not match the arena layout —
-    the parent splices such tiles the PR-5 way, so a surprising kernel
-    can never corrupt the shared frame.
+    the values come back over the pipe and the parent splices them, so
+    a surprising kernel can never corrupt the shared frame.
     """
     np = B._np
     lanes = stop - start
@@ -938,7 +831,7 @@ def _store_tile(frame, values_buf, costs_buf, loader,
         and lane_costs.dtype == costs_buf.dtype
     ):
         return (
-            tile_index, "pickle",
+            tile_index, "pipe",
             (values, lane_costs, tile_cache if loader else None),
         )
     states = None
@@ -955,9 +848,9 @@ def _store_tile(frame, values_buf, costs_buf, loader,
                 and column.dtype == plane.dtype
             ):
                 # Partial plane writes before this point are harmless:
-                # the parent ignores the arena for pickled tiles.
+                # the parent ignores the arena for "pipe" tiles.
                 return (
-                    tile_index, "pickle", (values, lane_costs, tile_cache)
+                    tile_index, "pipe", (values, lane_costs, tile_cache)
                 )
             plane[start:stop] = column
             filled = tile_cache.filled[k]
@@ -1017,7 +910,7 @@ def _run_shm_chunk(payload, kernel, spans=None):
                 if tile_span is not None:
                     spans.end(tile_span)
             if tile_span is not None:
-                tile_span[6]["cost"] = _cost_total(lane_costs)
+                tile_span[6]["cost"] = B.cost_total(lane_costs)
             out.append(_store_tile(
                 frame, values_buf, costs_buf, loader,
                 tile_index, start, stop, values, lane_costs, tile_cache,
@@ -1059,7 +952,7 @@ def _shm_cache_states(frame_cache):
 
     A column diverges when something rebound it after commit — e.g.
     ``demote_column`` during a guarded repair, or a post-load store.
-    Divergence is not an error; the run just rides the pickle transport.
+    Divergence is not an error; the run just runs serially in-process.
     """
     if not isinstance(frame_cache, B.ShmSoACache):
         return None
@@ -1096,12 +989,12 @@ class TileRunStats(object):
     """What one tiled frame execution did (telemetry + tests)."""
 
     __slots__ = ("tiles", "degraded_tiles", "workers", "pooled", "elapsed",
-                 "transport", "warm_hits", "warm_misses", "lost_workers",
+                 "warm_hits", "warm_misses", "lost_workers",
                  "redispatched_tiles", "inline_tiles", "respawns",
                  "quarantined", "breaker_open")
 
     def __init__(self, tiles, degraded_tiles, workers, pooled, elapsed,
-                 transport="serial", warm_hits=0, warm_misses=0,
+                 warm_hits=0, warm_misses=0,
                  lost_workers=0, redispatched_tiles=0, inline_tiles=0,
                  respawns=0, quarantined=False, breaker_open=False):
         self.tiles = tiles
@@ -1109,13 +1002,9 @@ class TileRunStats(object):
         #: the batch kernel (per-tile deadline degradation).
         self.degraded_tiles = degraded_tiles
         self.workers = workers
-        #: Whether the process pool actually ran (False when serial,
-        #: threaded, single-tile, or ``fork`` is unavailable).
+        #: Whether the process pool actually ran (False when serial).
         self.pooled = pooled
         self.elapsed = elapsed
-        #: Result transport this run used: ``serial``, ``threads``,
-        #: ``shm`` (zero-copy fork), or ``pickle`` (fork fallback).
-        self.transport = transport
         #: Worker chunks that reused an already-installed kernel vs
         #: chunks that had to ship the kernel spec.
         self.warm_hits = warm_hits
@@ -1129,8 +1018,14 @@ class TileRunStats(object):
         self.respawns = respawns
         #: The kernel was quarantined (poison token) to serial.
         self.quarantined = quarantined
-        #: The pool breaker forced this run off the fork transport.
+        #: The pool breaker forced this run off the fork pool.
         self.breaker_open = breaker_open
+
+    @property
+    def transport(self):
+        """Result transport this run used: ``shm`` (the zero-copy fork
+        pool) or ``serial`` (in-process)."""
+        return "shm" if self.pooled else "serial"
 
 
 class TileExecutor(object):
@@ -1144,17 +1039,8 @@ class TileExecutor(object):
     the reusable result arena.
     """
 
-    def __init__(self, workers=1, tile=None, transport=None, policy=None,
-                 injector=None):
-        count, spec_mode = _parse_workers_spec(workers)
-        self.workers = count
-        #: Requested transport family: ``auto``, ``fork``, ``threads``.
-        self.transport = spec_mode if transport is None else transport
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                "unknown transport %r (expected one of %s)"
-                % (transport, ", ".join(TRANSPORTS))
-            )
+    def __init__(self, workers=1, tile=None, policy=None, injector=None):
+        self.workers = resolve_workers(workers)
         self.tile = resolve_tile(tile)
         #: Self-healing knobs (deadlines, restart budget, quarantine).
         self.policy = policy if policy is not None else PoolPolicy()
@@ -1179,16 +1065,13 @@ class TileExecutor(object):
 
     # -- shared-memory bookkeeping -------------------------------------------
 
-    def new_frame_cache(self, layout, n):
-        """A frame cache for a tiled loader run: shared-memory-backed
-        when the fork pool can write tiles in place, an ordinary
-        :class:`SoACache` otherwise."""
+    def new_frame_cache(self, kernel, layout, n):
+        """A frame cache for a tiled run of the loader ``kernel``:
+        shared-memory-backed when the fork pool can write its tiles in
+        place, an ordinary :class:`SoACache` otherwise."""
         if (
-            self.workers > 1
-            and n > self.tile
-            and self.transport in ("auto", "fork")
-            and B.HAVE_NUMPY and B.HAVE_SHM
-            and _fork_available()
+            self.workers > 1 and n > self.tile and _pool_available()
+            and kernel.vectorized
         ):
             return B.ShmSoACache.allocate(layout, n)
         return B.SoACache(layout, n)
@@ -1239,12 +1122,12 @@ class TileExecutor(object):
             self._result_key = key
         return self._result_arena
 
-    def _shm_plan(self, kernel, columns, layout, frame_cache, n,
-                  refill=False):
-        """Everything the zero-copy transport needs, or None when this
-        run must ride pickle (non-vectorized kernel, non-shm cache,
-        diverged columns, no fixed result layout)."""
-        if not (B.HAVE_NUMPY and B.HAVE_SHM):
+    def _shm_plan(self, kernel, layout, frame_cache, n, refill=False):
+        """``(result_spec, reader_states)`` when this run can use the
+        zero-copy pool, or None when it must run serially (no fork or
+        shared memory, no NumPy, non-vectorized kernel, non-shm or
+        diverged cache, no fixed result layout).  Allocates nothing."""
+        if not _pool_available():
             return None
         if not kernel.vectorized:
             return None
@@ -1272,31 +1155,7 @@ class TileExecutor(object):
             states = _shm_cache_states(frame_cache)
             if states is None:
                 return None
-        return {
-            "frame": frame_cache.arena,
-            "result": self._ensure_result_arena(spec, n),
-            "args": [self._ship_arg(column) for column in columns],
-            "states": states,
-        }
-
-    # -- transport selection -------------------------------------------------
-
-    def _pick_transport(self, plan, kernel):
-        if self.workers <= 1 or len(plan) <= 1:
-            return "serial"
-        mode = self.transport
-        if mode == "auto":
-            mode = "fork" if _fork_available() else "threads"
-        if mode == "fork":
-            if _fork_available():
-                return "fork"
-            mode = "threads"
-        # Threads only pay when the kernel vectorizes (NumPy releases
-        # the GIL); the per-row fallback shares one interpreter and
-        # must stay on the serial path.
-        if mode == "threads" and B.HAVE_NUMPY and kernel.vectorized:
-            return "threads"
-        return "serial"
+        return spec, states
 
     def run(self, kernel, columns, n, *, frame_cache=None, layout=None,
             width=None, cap=None, on_overrun=None, obs=None,
@@ -1334,46 +1193,36 @@ class TileExecutor(object):
             raise ValueError("refill runs do not support a step cap")
         started = time.perf_counter()
         plan = plan_tiles(n, self.tile, width)
-        transport = self._pick_transport(plan, kernel)
         warm_hits = warm_misses = 0
         commit = None
         recovery = None
         quarantined = breaker_open = probing = False
-        if transport == "fork":
-            token = self._token_for(kernel)
-            if token in _QUARANTINE:
+        shm = None
+        if self.workers > 1 and len(plan) > 1:
+            shm = self._shm_plan(kernel, layout, frame_cache, n, refill)
+        # Eligibility first: a run that could never use the pool must
+        # neither advance breaker time nor close a half-open breaker.
+        if shm is not None:
+            if self._token_for(kernel) in _QUARANTINE:
                 # Poison token: this kernel keeps killing workers, so
                 # it is served in-process (byte-identical, never fatal).
-                transport = "serial"
+                shm = None
                 quarantined = True
                 POOL_HEALTH.quarantine_routed += 1
             elif not _BREAKER.allow_fork(self.policy):
+                shm = None
                 breaker_open = True
                 POOL_HEALTH.degraded_runs += 1
-                transport = (
-                    "threads" if B.HAVE_NUMPY and kernel.vectorized
-                    else "serial"
-                )
             else:
                 probing = _BREAKER.state == "half_open"
-        if transport == "fork":
+        if shm is not None:
+            transport = "shm"
             recovery = {"lost": 0, "redispatched": 0, "inline": 0,
                         "respawns": 0}
-            shm = self._shm_plan(
-                kernel, columns, layout, frame_cache, n, refill=refill
+            tiles, commit, warm_hits, warm_misses = self._run_shm(
+                kernel, columns, plan, layout, frame_cache, shm, n, obs,
+                shader, partition, phase, on_pool_incident, recovery,
             )
-            if shm is not None:
-                transport = "shm"
-                tiles, commit, warm_hits, warm_misses = self._run_shm(
-                    kernel, columns, plan, layout, frame_cache, shm, obs,
-                    shader, partition, phase, on_pool_incident, recovery,
-                )
-            else:
-                transport = "pickle"
-                tiles, warm_hits, warm_misses = self._run_pickle(
-                    kernel, columns, plan, layout, frame_cache, obs,
-                    shader, partition, phase, on_pool_incident, recovery,
-                )
             if probing and _BREAKER.state == "half_open":
                 # The half-open probe's pool survived within budget.
                 _BREAKER.close()
@@ -1384,12 +1233,8 @@ class TileExecutor(object):
                     on_pool_incident(
                         "pool_recovered", "breaker closed after probe"
                     )
-        elif transport == "threads":
-            tiles = self._run_threads(
-                kernel, columns, plan, layout, frame_cache, obs,
-                shader, partition, phase,
-            )
         else:
+            transport = "serial"
             tiles = self._run_serial(
                 kernel, columns, plan, layout, frame_cache, obs,
                 shader, partition, phase,
@@ -1430,8 +1275,7 @@ class TileExecutor(object):
         recovery = recovery or {}
         self.last_stats = TileRunStats(
             len(plan), len(degraded), self.workers,
-            transport in ("shm", "pickle"), elapsed,
-            transport=transport,
+            transport == "shm", elapsed,
             warm_hits=warm_hits, warm_misses=warm_misses,
             lost_workers=recovery.get("lost", 0),
             redispatched_tiles=recovery.get("redispatched", 0),
@@ -1452,7 +1296,7 @@ class TileExecutor(object):
                 "repro_shm_bytes_resident",
                 "Bytes of live shared-memory arenas in this process.",
             ).set(B.shm_resident_bytes())
-            if transport in ("shm", "pickle"):
+            if transport == "shm":
                 obs.registry.counter(
                     "repro_worker_warm_hits_total",
                     "Worker chunks that reused an installed kernel.",
@@ -1517,56 +1361,6 @@ class TileExecutor(object):
                     cols, lanes, cache=tile_cache
                 )
             tiles[tile_index] = (values, lane_costs, tile_cache)
-        return tiles
-
-    # -- thread-pool path ----------------------------------------------------
-
-    def _run_threads(self, kernel, columns, plan, layout, frame_cache, obs,
-                     shader, partition, phase):
-        """In-process parallel tiles: zero-copy by construction (every
-        thread writes tile-local caches spliced by the main thread), a
-        win exactly when the vectorized kernel's NumPy ops release the
-        GIL.  Chunking mirrors the fork path's deterministic
-        round-robin, though results never depend on the assignment."""
-        pool = _get_thread_pool(self.workers)
-
-        def chunk(indices):
-            out = []
-            for tile_index in indices:
-                start, stop = plan[tile_index]
-                lanes = stop - start
-                cols = [_slice_column(c, start, stop) for c in columns]
-                if layout is not None:
-                    tile_cache = B.SoACache(layout, lanes)
-                elif frame_cache is not None:
-                    tile_cache = frame_cache.tile(start, stop)
-                else:
-                    tile_cache = None
-                values, lane_costs = kernel.run_lanes(
-                    cols, lanes, cache=tile_cache
-                )
-                out.append((values, lane_costs, tile_cache))
-            return out
-
-        futures = []
-        for worker in range(self.workers):
-            indices = list(range(worker, len(plan), self.workers))
-            if not indices:
-                continue
-            futures.append((worker, indices, pool.submit(chunk, indices)))
-        tiles = {}
-        for worker, indices, future in futures:
-            # Spans open in the caller's thread (the tracer's span stack
-            # is not shared across threads): one per worker chunk,
-            # covering dispatch-to-gather like the fork path.
-            with obs.span(
-                "render.tile", shader=shader, partition=partition,
-                phase=phase, worker=worker, tiles=len(indices),
-                transport="threads",
-            ):
-                results = future.result()
-            for tile_index, entry in zip(indices, results):
-                tiles[tile_index] = entry
         return tiles
 
     # -- fork-pool paths (self-healing) --------------------------------------
@@ -1879,59 +1673,20 @@ class TileExecutor(object):
             pool.mark_installed(worker, token)
         return warm
 
-    def _run_pickle(self, kernel, columns, plan, layout, frame_cache, obs,
-                    shader, partition, phase, hook, recovery):
-        kernel._ensure()  # compile once in the parent; workers rebuild
-        jobs_by_worker = {}
-        for worker in range(self.workers):
-            jobs = []
-            for tile_index in range(worker, len(plan), self.workers):
-                start, stop = plan[tile_index]
-                cols = [_slice_column(c, start, stop) for c in columns]
-                tile_cache = (
-                    frame_cache.tile(start, stop)
-                    if layout is None and frame_cache is not None
-                    else None
-                )
-                jobs.append((tile_index, start, stop, cols, tile_cache))
-            if jobs:
-                jobs_by_worker[worker] = jobs
-
-        def build_payload(jobs):
-            return {"mode": "pickle", "layout": layout, "jobs": jobs}
-
-        def inline_job(job):
-            # In-process fallback for a lost worker's tile: identical
-            # math to _run_pickle_chunk, so the frame stays byte-exact.
-            tile_index, start, stop, cols, tile_cache = job
-            lanes = stop - start
-            if layout is not None:
-                tile_cache = B.SoACache(layout, lanes)
-            values, lane_costs = kernel.run_lanes(
-                cols, lanes, cache=tile_cache
-            )
-            return (tile_index, values, lane_costs,
-                    tile_cache if layout is not None else None)
-
-        raw, warm_hits, warm_misses = self._run_pooled(
-            kernel, jobs_by_worker, build_payload, inline_job, obs,
-            dict(shader=shader, partition=partition, phase=phase,
-                 transport="pickle"),
-            hook, recovery,
-        )
-        tiles = {}
-        for tile_index, values, lane_costs, tile_cache in raw:
-            tiles[tile_index] = (values, lane_costs, tile_cache)
-        return tiles, warm_hits, warm_misses
-
-    def _run_shm(self, kernel, columns, plan, layout, frame_cache, shm, obs,
-                 shader, partition, phase, hook, recovery):
+    def _run_shm(self, kernel, columns, plan, layout, frame_cache, shm, n,
+                 obs, shader, partition, phase, hook, recovery):
         """Zero-copy dispatch: workers attach the frame/result arenas
         and write their tiles' rows in place; the pipe carries only
         job spans out and per-tile state descriptors back."""
         loader = layout is not None
-        frame_desc = shm["frame"].descriptor()
-        result_desc = shm["result"].descriptor()
+        spec, reader_states = shm
+        frame = frame_cache.arena
+        result = self._ensure_result_arena(spec, n)
+        args = [self._ship_arg(column) for column in columns]
+        frame_desc = frame.descriptor()
+        result_desc = result.descriptor()
+        values_buf = result.column("values")
+        costs_buf = result.column("costs")
         jobs_by_worker = {}
         for worker in range(self.workers):
             jobs = [
@@ -1943,21 +1698,21 @@ class TileExecutor(object):
 
         def build_payload(jobs):
             return {
-                "mode": "shm",
                 "phase": "loader" if loader else "reader",
                 "layout": layout if loader else frame_cache.layout,
                 "frame": frame_desc,
                 "result": result_desc,
-                "args": shm["args"],
-                "states": shm["states"],
+                "args": args,
+                "states": reader_states,
                 "jobs": jobs,
             }
 
         def inline_job(job):
             # In-process fallback for a lost worker's shm tile: compute
-            # from the parent's own columns/cache and return a
-            # pickle-kind entry, so a dead worker's partial arena
-            # writes are never trusted (the mixed path splices it).
+            # from the parent's own columns/cache and store it through
+            # the worker's checked path, overwriting every row a dead
+            # worker may have half-written (lost workers are dead by
+            # now), so the frame cache stays backed by its arena.
             tile_index, start, stop = job
             lanes = stop - start
             cols = [_slice_column(c, start, stop) for c in columns]
@@ -1968,8 +1723,10 @@ class TileExecutor(object):
             values, lane_costs = kernel.run_lanes(
                 cols, lanes, cache=tile_cache
             )
-            return (tile_index, "pickle",
-                    (values, lane_costs, tile_cache if loader else None))
+            return _store_tile(
+                frame, values_buf, costs_buf, loader,
+                tile_index, start, stop, values, lane_costs, tile_cache,
+            )
 
         raw, warm_hits, warm_misses = self._run_pooled(
             kernel, jobs_by_worker, build_payload, inline_job, obs,
@@ -1977,13 +1734,11 @@ class TileExecutor(object):
                  transport="shm"),
             hook, recovery,
         )
-        values_buf = shm["result"].column("values")
-        costs_buf = shm["result"].column("costs")
         tiles = {}
         loader_states = {}
         for tile_index, kind, extra in raw:
             start, stop = plan[tile_index]
-            if kind == "pickle":
+            if kind == "pipe":
                 tiles[tile_index] = extra
             else:
                 tiles[tile_index] = (
@@ -1995,7 +1750,7 @@ class TileExecutor(object):
         if loader:
             mixed = any(entry[2] is not None for entry in tiles.values())
             if mixed:
-                # Rare per-tile pickle fallback inside an shm run: give
+                # Rare per-tile pipe fallback inside an shm run: give
                 # the shm tiles view-based caches so the normal splice
                 # path stitches the whole frame uniformly (the arena is
                 # then just scratch space).
@@ -2004,13 +1759,11 @@ class TileExecutor(object):
                     values, lane_costs, _ = tiles[tile_index]
                     tiles[tile_index] = (
                         values, lane_costs,
-                        _view_tile_cache(
-                            shm["frame"], layout, states, start, stop
-                        ),
+                        _view_tile_cache(frame, layout, states, start, stop),
                     )
             else:
                 commit = self._make_commit(
-                    shm["frame"], frame_cache, layout, plan, loader_states
+                    frame, frame_cache, layout, plan, loader_states
                 )
         return tiles, commit, warm_hits, warm_misses
 

@@ -96,12 +96,10 @@ class EditSession(object):
         #: requests stay whole-frame (their fault attribution and
         #: variant grouping are frame-global), so ``workers`` is a
         #: no-op there — parity with ``workers=1`` holds trivially.
-        if workers is not None:
-            self.workers = P.resolve_workers(workers)
-            self.transport = P.resolve_transport(workers)
-        else:
-            self.workers = render_session.workers
-            self.transport = getattr(render_session, "transport", "auto")
+        self.workers = (
+            P.resolve_workers(workers) if workers is not None
+            else render_session.workers
+        )
         self.tile = tile if tile is not None else render_session.tile
         #: Self-healing pool knobs (deadlines, restart budget); default
         #: from the session so a service can tune every drag at once.
@@ -126,7 +124,7 @@ class EditSession(object):
         self._executor = (
             P.TileExecutor(
                 workers=self.workers, tile=self.tile,
-                transport=self.transport, policy=self.pool_policy,
+                policy=self.pool_policy,
                 injector=injector if proc_rate > 0.0 else None,
             )
             if self.backend == "batch"
@@ -746,8 +744,8 @@ class EditSession(object):
         # The executor picks the cache's backing store: shared-memory
         # columns when the fork pool will write tiles in place, an
         # ordinary SoACache otherwise.
-        cache = self._executor.new_frame_cache(spec.layout, n)
         kernel = spec.batch_kernel("loader", cap)
+        cache = self._executor.new_frame_cache(kernel, spec.layout, n)
         colors, lane_costs = self._executor.run(
             kernel, columns, n, frame_cache=cache, layout=spec.layout,
             width=session.scene.width, cap=cap, obs=self.obs,
@@ -1016,7 +1014,6 @@ class RenderSession(object):
         self.backend = self.specializer.backend
         self.guard = self.specializer.guard
         self.workers = self.specializer.workers
-        self.transport = self.specializer.transport
         self.tile = self.specializer.tile
         self.pool_policy = self.specializer.pool_policy
         #: Session-level render supervisor (deadlines, degradation

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 DOTPROD = """
@@ -296,6 +296,37 @@ class TestObservability:
         assert "repro_frames_total" in out
         assert "repro_pixel_cost_steps_bucket" in out
         assert "repro_cache_hits_total" in out
+
+
+class TestPoolKnobs:
+    """``--workers``/``--tile`` share one argparse validator across the
+    five subcommands that take them: a bad spelling exits 2 with one
+    line naming the accepted spellings, never a traceback."""
+
+    PREFIXES = {
+        "render": ["render", "1"],
+        "health": ["health", "1"],
+        "serve": ["serve"],
+        "trace": ["trace", "1"],
+        "stats": ["stats"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(PREFIXES))
+    @pytest.mark.parametrize("flag,value,expected", [
+        ("--workers", "fork:x", "a count, 'auto', or 'fork[:N]'"),
+        ("--workers", "threads:2", "a count, 'auto', or 'fork[:N]'"),
+        ("--tile", "0", "a lane count >= 1"),
+    ])
+    def test_bad_pool_knob_exits_2(self, command, flag, value, expected,
+                                   capsys):
+        # Parse only: a regression must fail here, not start a daemon.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.PREFIXES[command] + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s" % flag in err
+        assert expected in err
+        assert "Traceback" not in err
 
 
 class TestMainModule:

@@ -202,7 +202,7 @@ def _drag_and_edit(session, param, other):
     return edit, frames
 
 
-@pytest.mark.parametrize("workers", [None, "threads:2", "fork:2"])
+@pytest.mark.parametrize("workers", [None, "fork:2"])
 def test_returned_frames_stay_unchanged(workers):
     if workers == "fork:2" and not P._fork_available():
         pytest.skip("fork start method unavailable")

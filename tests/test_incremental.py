@@ -131,8 +131,8 @@ def test_backend_cost_parity_on_delta_path(index):
 @requires_numpy
 @pytest.mark.parametrize("workers,tile", ((2, 10), (3, 5)))
 def test_tiled_delta_refill_parity(workers, tile):
-    """Tiled executors (threads transport) splice refreshed columns
-    into the standing frame cache byte-identically to serial."""
+    """Tiled executors splice refreshed columns into the standing
+    frame cache byte-identically to serial."""
     param = SHADERS[3].control_params[0]
     serial = RenderSession(3, width=6, height=6, incremental=True)
     tiled = RenderSession(3, width=6, height=6, incremental=True,

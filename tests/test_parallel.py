@@ -77,6 +77,20 @@ def test_resolve_workers_and_tile():
         P.resolve_tile(0)
 
 
+def test_threads_spelling_is_rejected():
+    """The fork/shm pool is the only pool: ``threads[:N]`` (and any
+    other unknown spelling) is a bad spec naming the accepted ones."""
+    for spec in ("threads", "threads:2", "fork:x", "fork:0", "bogus"):
+        with pytest.raises(ValueError, match=r"'auto', or 'fork\[:N\]'"):
+            P.resolve_workers(spec)
+    with pytest.raises(ValueError):
+        P.TileExecutor(workers="threads:2")
+    with pytest.raises(ValueError):
+        RenderSession(3, width=4, height=4, workers="threads:2")
+    assert P.resolve_workers("fork:3") == 3
+    assert P.resolve_workers("fork") == P.resolve_workers("auto")
+
+
 def test_type_singletons_survive_pickling():
     """Annotated ASTs cross the worker-pool boundary; every consumer
     compares types with ``is``, so pickling must re-intern."""
@@ -175,8 +189,8 @@ def test_dispatch_table_parity_with_workers():
 
 @requires_numpy
 def test_pool_engages_and_matches_serial():
-    if not P._fork_available():
-        pytest.skip("fork start method unavailable")
+    if not P._pool_available():
+        pytest.skip("fork/shm pool unavailable")
     session = RenderSession(5, width=8, height=8, backend="batch")
     param = _params_of(5)[0]
     spec = session.specialize(param)
@@ -190,7 +204,7 @@ def test_pool_engages_and_matches_serial():
     lv, lc = serial.run(loader, columns, n, frame_cache=cache,
                         layout=spec.layout, width=8)
     assert serial.last_stats.pooled is False
-    cache2 = spec.new_batch_cache(n)
+    cache2 = pooled.new_frame_cache(loader, spec.layout, n)
     pv, pc = pooled.run(loader, columns, n, frame_cache=cache2,
                         layout=spec.layout, width=8)
     assert pooled.last_stats.pooled is True

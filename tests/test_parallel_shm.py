@@ -5,10 +5,10 @@ pickling removed: pooled workers write loader/reader results straight
 into arena-backed columns, so every frame must stay byte-identical to
 the serial path while only tile descriptors cross the pipe.  These
 tests pin that contract plus the lifecycle rules around it: warm
-workers reuse installed kernels across frames, diverged caches demote
-to the pickle transport instead of corrupting the arena, degraded
-tiles splice correctly over shared columns, and no ``/dev/shm``
-segment outlives its owners.
+workers reuse installed kernels across frames, diverged caches,
+non-vectorized kernels and no-NumPy sessions run serially in-process
+instead of touching the arena, degraded tiles splice correctly over
+shared columns, and no ``/dev/shm`` segment outlives its owners.
 """
 
 import gc
@@ -132,13 +132,14 @@ def test_shm_cache_lifecycle_frees_segment():
 @requires_numpy
 @pytest.mark.parametrize("index", sorted(SHADERS))
 def test_transport_parity_all_shaders(index):
-    """Every shader and partition is byte-identical across the serial,
-    fork (shm) and threads transports, load and adjust both."""
+    """Every shader and partition is byte-identical across the serial
+    and fork (shm) transports, load and adjust both."""
     for param in _params_of(index):
         base = RenderSession(index, width=8, height=6, backend="batch")
         load_a, adj_a = _drag(base, base.begin_edit(param), param)
-        specs = [("fork:2", "fork")] if P._fork_available() else []
-        specs.append(("threads:2", "threads"))
+        specs = [(1, "serial")]
+        if P._fork_available():
+            specs.append(("fork:2", "fork"))
         for workers, family in specs:
             session = RenderSession(index, width=8, height=6,
                                     backend="batch", workers=workers,
@@ -151,8 +152,8 @@ def test_transport_parity_all_shaders(index):
             stats = edit._executor.last_stats
             if family == "fork" and B.HAVE_SHM:
                 assert stats.transport == "shm", what
-            elif family == "threads":
-                assert stats.transport == "threads", what
+            elif family == "serial":
+                assert stats.transport == "serial", what
 
 
 @requires_numpy
@@ -160,10 +161,8 @@ def test_guarded_and_supervised_parity_per_transport():
     from repro.runtime.supervise import SupervisorPolicy
 
     param = _params_of(4)[0]
-    specs = ["threads:2"]
-    if P._fork_available():
-        specs.append("fork:2")
-    # Guarded requests run whole-frame; the transport knob must be a
+    specs = ["fork:2"] if P._fork_available() else []
+    # Guarded requests run whole-frame; the workers knob must be a
     # byte-identical no-op.
     base = RenderSession(4, width=6, height=6, backend="batch", guard=True)
     load_a, adj_a = _drag(base, base.begin_edit(param), param)
@@ -173,7 +172,7 @@ def test_guarded_and_supervised_parity_per_transport():
         load_b, adj_b = _drag(tiled, tiled.begin_edit(param), param)
         _assert_equal(load_a, load_b, "guarded %s load" % workers)
         _assert_equal(adj_a, adj_b, "guarded %s adjust" % workers)
-    # Supervised requests do tile out; both transports must match the
+    # Supervised requests do tile out; the pool must match the
     # unsupervised whole-frame result on a healthy frame.
     sparam = _params_of(10)[0]
     sbase = RenderSession(10, width=8, height=4, backend="batch")
@@ -222,15 +221,15 @@ def test_warm_worker_reuse_across_frames():
     assert misses <= stats.workers
 
 
-# -- divergence demotes to pickle (never corrupts the arena) -----------------
+# -- divergence runs serially (never corrupts the arena) ---------------------
 
 
 @requires_numpy
 @requires_fork
 @requires_shm
-def test_diverged_cache_rides_pickle_transport():
+def test_diverged_cache_runs_serial():
     """Rebinding a cache column after load (guarded repair, demotion,
-    manual edit) must demote the adjust to the pickle transport and
+    manual edit) must demote the adjust to the serial transport and
     stay byte-identical."""
     base = RenderSession(3, width=8, height=6, backend="batch")
     ref_load, ref_adj = _drag(base, base.begin_edit("veinfreq"),
@@ -256,7 +255,7 @@ def test_diverged_cache_rides_pickle_transport():
     )
     adjusted = edit.adjust(dragged)
     _assert_equal(ref_adj, adjusted, "adjust after divergence")
-    assert edit._executor.last_stats.transport == "pickle"
+    assert edit._executor.last_stats.transport == "serial"
 
 
 @requires_numpy
@@ -278,6 +277,96 @@ def test_fault_injected_cache_is_detected_as_diverged():
     injector = FaultInjector(seed=13, cache_rate=0.3, modes=("clear",))
     assert injector.corrupt_caches(cache) > 0
     assert P._shm_cache_states(cache) is None
+
+
+# -- serial fallbacks touch neither the arena nor the breaker ----------------
+
+
+def _assert_serial_drag_matches_untiled(workers, param="veinfreq"):
+    """A tiled drag of shader 3 that must run serially: byte-identical
+    to the untiled drag, and no shared-memory segment is created."""
+    base = RenderSession(3, width=8, height=6, backend="batch")
+    ref_load, ref_adj = _drag(base, base.begin_edit(param), param)
+    before = _shm_segments()
+    resident = B.shm_resident_bytes()
+    session = RenderSession(3, width=8, height=6, backend="batch",
+                            workers=workers, tile=12)
+    edit = session.begin_edit(param)
+    try:
+        loaded = edit.load(session.controls)
+        assert edit._executor.last_stats.transport == "serial"
+        assert edit._executor.last_stats.tiles > 1
+        dragged = session.controls_with(
+            **{param: session.controls[param] * 1.3 + 0.05}
+        )
+        adjusted = edit.adjust(dragged)
+        assert edit._executor.last_stats.transport == "serial"
+        _assert_equal(ref_load, loaded, "%s load" % workers)
+        _assert_equal(ref_adj, adjusted, "%s adjust" % workers)
+        assert not isinstance(edit.caches, B.ShmSoACache)
+        assert _shm_segments() == before
+        assert B.shm_resident_bytes() == resident
+    finally:
+        edit.close()
+
+
+@requires_numpy
+def test_non_vectorized_kernel_runs_serial(monkeypatch):
+    """A kernel that cannot vectorize never reaches the fork pool."""
+    def refuse(fn):
+        raise B.BatchCompileError("per-row fallback forced by the test")
+
+    monkeypatch.setattr(B, "compile_batch_function", refuse)
+    spec = RenderSession(3, width=4, height=4,
+                         backend="batch").specialize("veinfreq")
+    assert not spec.batch_kernel("loader").vectorized
+    _assert_serial_drag_matches_untiled("fork:2")
+
+
+def test_no_numpy_session_runs_serial(monkeypatch):
+    """Without NumPy the per-row fallback runs its tiles in-process."""
+    from repro.runtime import compiler as compiler_mod
+    from repro.runtime import vecops as vecops_mod
+
+    monkeypatch.setattr(vecops_mod, "HAVE_NUMPY", False)
+    monkeypatch.setattr(compiler_mod, "HAVE_NUMPY", False)
+    monkeypatch.setattr(B, "HAVE_NUMPY", False)
+    _assert_serial_drag_matches_untiled(2)
+
+
+@requires_numpy
+@requires_fork
+@requires_shm
+def test_serial_fallback_leaves_half_open_breaker_alone():
+    """Only shm-eligible runs count as pool-breaker time: a run that
+    falls back to serial for its own reasons (here a diverged cache)
+    while the breaker is half-open neither advances its run count nor
+    closes it."""
+    P._discard_pool()
+    P.reset_pool_state()
+    session = RenderSession(3, width=8, height=6, backend="batch",
+                            workers=2, tile=12)
+    edit = session.begin_edit("veinfreq")
+    try:
+        edit.load(session.controls)
+        assert edit._executor.last_stats.transport == "shm"
+        cache = edit.caches
+        k = next(k for k, c in enumerate(cache.columns) if c is not None)
+        cache.columns[k] = cache.columns[k].copy()
+        P._BREAKER.trip(P.PoolPolicy())
+        P._BREAKER.state = "half_open"
+        before = P._BREAKER.as_dict()
+        edit.adjust(session.controls_with(
+            veinfreq=session.controls["veinfreq"] * 1.3 + 0.05
+        ))
+        stats = edit._executor.last_stats
+        assert stats.transport == "serial"
+        assert not stats.breaker_open
+        assert P._BREAKER.as_dict() == before
+    finally:
+        edit.close()
+        P._discard_pool()
+        P.reset_pool_state()
 
 
 # -- degradation over shared columns -----------------------------------------

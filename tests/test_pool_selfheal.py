@@ -324,7 +324,7 @@ def test_repeat_killer_kernel_is_quarantined():
 @requires_fork
 def test_restart_budget_exhaustion_trips_breaker():
     """With a zero restart budget the first loss degrades the pool:
-    breaker open, pool discarded, subsequent runs ride threads/serial —
+    breaker open, pool discarded, subsequent runs ride serial —
     and after the cooldown a half-open probe closes the breaker."""
     param = _params_of(3)[0]
     base = RenderSession(3, width=8, height=6, backend="batch")
@@ -349,7 +349,7 @@ def test_restart_budget_exhaustion_trips_breaker():
     _assert_equal(adj_a, adj_b, "adjust while breaker open")
     stats = edit._executor.last_stats
     assert stats.breaker_open
-    assert stats.transport in ("threads", "serial")
+    assert stats.transport == "serial"
     # Healthy runs advance breaker time; the half-open probe forks a
     # fresh pool, survives, and closes the breaker.
     for _ in range(12):
