@@ -113,22 +113,22 @@ DEFAULT_SCRIPT = {
 
 
 def simulate_session(shader_index, script=None, width=6, height=6,
-                     installation=None, backend=None, workers=None,
-                     tile=None):
+                     installation=None, **session_options):
     """Replay an editing session; returns a :class:`SessionTrace`.
 
-    ``backend``/``workers``/``tile`` thread through to the underlying
-    :class:`ShaderInstallation` (default ``backend="auto"``: the batch
-    kernels when NumPy is available, so the bench measures the same
-    execution path interactive sessions use; pass ``backend="scalar"``
-    to simulate the per-pixel interpreter instead)."""
+    ``session_options`` (``backend``, ``workers``, ``tile``, ...) go to
+    the underlying :class:`ShaderInstallation` (default
+    ``backend="auto"``: the batch kernels when NumPy is available, so
+    the bench measures the same execution path interactive sessions
+    use; pass ``backend="scalar"`` to simulate the per-pixel
+    interpreter instead)."""
     if script is None:
         script = DEFAULT_SCRIPT.get(shader_index)
         if script is None:
             raise ValueError("no default script for shader %d" % shader_index)
     install = installation or ShaderInstallation(
         shader_index, width=width, height=height, compile_code=False,
-        backend=backend, workers=workers, tile=tile,
+        **session_options
     )
     session = install.session
 

@@ -38,9 +38,7 @@ from .lang.errors import (
 from .lang.parser import parse_program
 from .lang.pretty import format_function
 from .runtime.interp import Interpreter
-from .runtime.parallel import (
-    effective_transport, resolve_tile, resolve_workers,
-)
+from .runtime.parallel import DEFAULT_TILE, resolve_tile, resolve_workers
 
 
 def _parse_scalar(text):
@@ -237,6 +235,21 @@ def _pool_policy_from_args(args):
         raise SystemExit("bad --pool-deadline-ms: %s" % exc)
 
 
+def _session_options(args, **extra):
+    """The ``RenderSession`` execution keywords every session-driving
+    subcommand builds from its flags, plus the subcommand's ``extra``
+    ones.  CLI sessions always tile: no ``--tile`` means the default
+    tile size, so ``trace`` and ``stats`` run the path ``render`` runs."""
+    options = {
+        "backend": args.backend,
+        "workers": args.workers,
+        "tile": DEFAULT_TILE if args.tile is None else args.tile,
+        "pool_policy": _pool_policy_from_args(args),
+    }
+    options.update(extra)
+    return options
+
+
 def _chaos_injector(args):
     """A FaultInjector from the render/health injection flags, or None.
 
@@ -296,14 +309,12 @@ def cmd_render(args, out):
         )
     injector = _chaos_injector(args)
     obs = _resolve_obs_flag(args)
-    # render/health/serve always tile: no --tile means the default size.
     session = RenderSession(
-        args.shader, width=args.size, height=args.size, backend=args.backend,
-        guard=args.guard or args.inject_rate > 0.0,
-        policy=_supervision_policy(args), obs=obs,
-        workers=args.workers, tile=resolve_tile(args.tile),
-        pool_policy=_pool_policy_from_args(args),
-        incremental=args.incremental,
+        args.shader, width=args.size, height=args.size, obs=obs,
+        **_session_options(
+            args, guard=args.guard or args.inject_rate > 0.0,
+            policy=_supervision_policy(args), incremental=args.incremental,
+        )
     )
     param = args.param or session.spec_info.control_params[0]
     try:
@@ -344,7 +355,7 @@ def cmd_render(args, out):
         else None
     )
     if args.json:
-        from .obs.schema import canonical_rung, execution_config
+        from .obs.schema import canonical_rung
 
         json.dump(
             {
@@ -353,9 +364,7 @@ def cmd_render(args, out):
                 "width": session.scene.width,
                 "height": session.scene.height,
                 "backend": edit.backend,
-                "config": execution_config(
-                    edit.backend, edit.workers, edit.tile
-                ),
+                "config": edit.plan.as_dict(),
                 "param": param,
                 "load_cost": image.total_cost,
                 "adjust_cost": adjusted.total_cost,
@@ -374,8 +383,8 @@ def cmd_render(args, out):
             "shader %d (%s): %dx%d via %s backend "
             "(workers %d, transport %s), drag %r\n"
             % (args.shader, session.spec_info.name, session.scene.width,
-               session.scene.height, edit.backend, edit.workers,
-               effective_transport(edit.workers), param)
+               session.scene.height, edit.backend, edit.plan.workers,
+               edit.plan.transport, param)
         )
         out.write(
             "load:   cost %d (%.1f/pixel), cache %dB/pixel\n"
@@ -503,22 +512,18 @@ def cmd_health(args, out):
             "no shader %d (have %s)"
             % (args.shader, ", ".join(str(i) for i in sorted(SHADERS)))
         )
+    # Guarded requests run whole-frame, never tiled — so a pool-chaos
+    # drive (process faults only, no cache corruption) runs unguarded;
+    # the pool's own detection/recovery is the containment under test.
+    proc_only = args.inject_proc_rate > 0.0 and args.corrupt_rate <= 0.0
     session = RenderSession(
-        args.shader, width=args.size, height=args.size, backend=args.backend,
-        guard=True, policy=_supervision_policy(args),
-        workers=args.workers, tile=resolve_tile(args.tile),
-        pool_policy=_pool_policy_from_args(args),
+        args.shader, width=args.size, height=args.size,
+        **_session_options(
+            args, guard=not proc_only, policy=_supervision_policy(args),
+        )
     )
     param = args.param or session.spec_info.control_params[0]
-    # Guarded requests run whole-frame, which would park the tiled
-    # executor — so a pool-chaos drive (process faults only, no cache
-    # corruption) opts the drag out of guarding; the pool's own
-    # detection/recovery is the containment under test there.
-    proc_only = args.inject_proc_rate > 0.0 and args.corrupt_rate <= 0.0
-    edit = session.begin_edit(
-        param, injector=_chaos_injector(args),
-        guard=False if proc_only else None,
-    )
+    edit = session.begin_edit(param, injector=_chaos_injector(args))
     edit.load(session.controls)
     # Corrupt caches over the first half of the drag, then stop — the
     # report shows the breaker tripping and the probe recovery.
@@ -566,13 +571,10 @@ def cmd_serve(args, out):
         seed=args.seed,
         max_pixels=args.max_pixels,
         policy=_supervision_policy(args),
-        backend=args.backend,
-        workers=args.workers,
-        tile=resolve_tile(args.tile),
-        pool_policy=_pool_policy_from_args(args),
         recover=not args.no_recover,
         proc_chaos_rate=args.inject_proc_rate,
         proc_chaos_seed=args.inject_seed,
+        **_session_options(args)
     )
     service = RenderService(config)
     return run_daemon(service, host=args.host, port=args.port, out=out)
@@ -765,9 +767,8 @@ def cmd_trace(args, out):
         )
     obs = Observability()
     session = RenderSession(
-        args.shader, width=args.size, height=args.size,
-        backend=args.backend, obs=obs,
-        workers=args.workers, tile=args.tile,
+        args.shader, width=args.size, height=args.size, obs=obs,
+        **_session_options(args)
     )
     param = args.param or session.spec_info.control_params[0]
     try:
@@ -816,9 +817,8 @@ def cmd_stats(args, out):
     obs = Observability()
     for index in sorted(SHADERS):
         session = RenderSession(
-            index, width=args.size, height=args.size,
-            backend=args.backend, obs=obs,
-            workers=args.workers, tile=args.tile,
+            index, width=args.size, height=args.size, obs=obs,
+            **_session_options(args)
         )
         for param in session.spec_info.control_params:
             if args.render:

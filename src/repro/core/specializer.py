@@ -37,8 +37,7 @@ from ..lang.parser import parse_program
 from ..lang.pretty import format_function
 from ..lang.typecheck import check_program
 from ..obs import NULL_OBS, resolve_obs
-from ..runtime.batch import BatchKernel, resolve_backend
-from ..runtime.parallel import resolve_tile, resolve_workers
+from ..runtime.batch import BatchKernel
 from ..runtime.compiler import compile_function
 from ..runtime.interp import CostMeter, Interpreter
 from ..transform.inline import Inliner
@@ -394,9 +393,7 @@ class Specialization(object):
 class DataSpecializer(object):
     """Specializes functions of one program on chosen input partitions."""
 
-    def __init__(self, program, options=None, backend=None, guard=False,
-                 policy=None, obs=None, workers=None, tile=None,
-                 pool_policy=None):
+    def __init__(self, program, options=None, obs=None):
         if isinstance(program, str):
             program = parse_program(program)
         self.program = program
@@ -405,32 +402,6 @@ class DataSpecializer(object):
         #: ``repro_specializations_total`` / cache-slot metrics
         #: (:data:`repro.obs.NULL_OBS` = disabled, zero overhead).
         self.obs = resolve_obs(obs)
-        #: Preferred execution backend for session-level drivers
-        #: ("scalar" or "batch"; "auto" resolves at construction).
-        self.backend = resolve_backend(backend)
-        #: Tiled-scheduler knobs for session-level drivers: worker-pool
-        #: size (1 = in-process; ``"auto"``/``"fork"`` = one per core;
-        #: ``"fork:N"`` = N) and lanes per tile (None = untiled unless a
-        #: pool is requested).
-        self.workers = resolve_workers(workers)
-        if tile is not None:
-            resolve_tile(tile)  # validate eagerly; keep None distinct
-        self.tile = tile
-        #: Session-level default :class:`~repro.runtime.parallel.
-        #: PoolPolicy` (hung-worker deadlines, restart budget, breaker
-        #: cooldowns) for the self-healing worker pool; None means the
-        #: executor's defaults apply.
-        self.pool_policy = pool_policy
-        #: Session-level default for guarded execution: when True,
-        #: drivers built on this specializer wrap loader/reader runs in
-        #: a :class:`~repro.runtime.guard.GuardedExecutor`.
-        self.guard = bool(guard)
-        #: Session-level supervision policy: a
-        #: :class:`~repro.runtime.supervise.SupervisorPolicy` that
-        #: drivers built on this specializer use to construct their
-        #: :class:`~repro.runtime.supervise.RenderSupervisor` (None
-        #: leaves execution unsupervised).
-        self.policy = policy
         # Whole-program check up front: errors surface on the original
         # source, not on transformed internals.
         with self.obs.span("frontend.typecheck"):

@@ -23,9 +23,6 @@ BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
 #: Request phases.
 PHASES = ("load", "adjust")
 
-#: Execution backends a session can resolve to.
-BACKENDS = ("batch", "scalar")
-
 #: Process-level worker-loss kinds the self-healing pool reports
 #: (``pool_health()["lost_workers"]``, ``worker_<kind>`` incidents).
 POOL_FAULT_KINDS = ("crash", "hang", "garbled", "pipe")
@@ -83,36 +80,3 @@ def canonical_endpoint(name):
     expected — scanners probe arbitrary paths)."""
     canonical = str(name).strip().lower().replace("-", "_")
     return canonical if canonical in SERVE_ENDPOINTS else "other"
-
-
-#: Result transports the tiled scheduler reports (``execution_config``
-#: reports the static resolution; ``render.tile`` spans the per-run one).
-TRANSPORTS = ("serial", "shm")
-
-
-def execution_config(backend, workers, tile):
-    """The canonical execution-configuration mapping every JSON surface
-    shares (``repro render --json``, bench reports): the *effective*
-    backend/worker/tile/transport after resolution, not what the user
-    typed.
-
-    ``tile`` may be None (the scheduler default applies only when a
-    tiled executor actually runs); it is reported as the resolved lane
-    count either way so consumers never see two spellings of "default".
-    ``transport`` is what a multi-tile frame would use for ``workers``.
-    """
-    canonical = str(backend).strip().lower().replace("-", "_")
-    if canonical not in BACKENDS:
-        raise ValueError("unknown backend %r" % backend)
-    from ..runtime.parallel import (
-        effective_transport,
-        resolve_tile,
-        resolve_workers,
-    )
-
-    return {
-        "backend": canonical,
-        "workers": resolve_workers(workers),
-        "tile": resolve_tile(tile),
-        "transport": effective_transport(workers),
-    }

@@ -133,17 +133,6 @@ def _pool_available():
     return B.HAVE_NUMPY and B.HAVE_SHM and _fork_available()
 
 
-def effective_transport(workers):
-    """Static transport resolution for config reporting (``repro render
-    --json``): what a multi-tile frame would use.  Per-run conditions
-    (single tile, non-vectorized kernel, open breaker) can still demote
-    a run to serial; ``render.tile`` spans report the per-run choice.
-    """
-    if resolve_workers(workers) > 1 and _pool_available():
-        return "shm"
-    return "serial"
-
-
 def resolve_tile(tile):
     """Normalize the ``tile=`` knob (lanes per tile; None = default)."""
     if tile is None:

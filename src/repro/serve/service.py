@@ -52,6 +52,7 @@ from ..obs.metrics import MS_BUCKETS
 from ..obs.schema import canonical_endpoint
 from ..obs.slo import SloTracker, default_service_objectives
 from ..runtime.faultinject import FaultInjector
+from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, SupervisorPolicy
 from ..shaders.render import RenderSession
 from ..shaders.sources import SHADERS
@@ -296,6 +297,12 @@ class RenderService(object):
 
     def __init__(self, config, obs=True, clock=None, sleep=None):
         self.config = config
+        #: Every hosted session's execution plan, resolved once here so
+        #: a bad ``backend``/``workers``/``tile`` fails construction.
+        self.plan = ExecutionPlan(
+            backend=config.backend, workers=config.workers,
+            tile=config.tile, pool_policy=config.pool_policy,
+        )
         self.obs = resolve_obs(obs)
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
@@ -311,11 +318,8 @@ class RenderService(object):
         #: (admission still bounds how many requests hold sockets).
         #: Single-worker services — the default — render fully
         #: concurrently.
-        from ..runtime.parallel import resolve_workers
-
         self._pool_mutex = (
-            threading.Lock() if resolve_workers(config.workers) > 1
-            else None
+            threading.Lock() if self.plan.workers > 1 else None
         )
         self._lock = threading.RLock()
         self._sessions = {}
@@ -439,11 +443,12 @@ class RenderService(object):
             if supervisor is None:
                 supervisor = RenderSupervisor(config.policy, obs=self.obs)
                 self._supervisors[tenant] = supervisor
+        plan = self.plan
         session = RenderSession(
-            spec_info.index, backend=config.backend,
-            supervisor=supervisor, obs=self.obs, workers=config.workers,
-            tile=config.tile, pool_policy=config.pool_policy,
-            store=self.store, width=width, height=height,
+            spec_info.index, backend=plan.backend, supervisor=supervisor,
+            obs=self.obs, workers=plan.workers, tile=plan.tile,
+            pool_policy=plan.pool_policy, store=self.store,
+            width=width, height=height,
         )
         injector = None
         if config.proc_chaos_rate > 0.0:

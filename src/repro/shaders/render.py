@@ -29,6 +29,7 @@ from ..runtime import values as V
 from ..runtime.colors import ColorColumn, color_column
 from ..runtime.guard import FaultLog
 from ..runtime.interp import CostMeter, Interpreter
+from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, Rung
 from .scenes import scene_for
 from .sources import SHADERS, shader_program_source
@@ -79,57 +80,23 @@ class EditSession(object):
     *selected* reader variant — different pixels may take different
     variants (e.g. the two tiles of a checkerboard)."""
 
-    def __init__(self, render_session, specialization, param, table=None,
-                 backend=None, guard=None, injector=None, supervisor=None,
-                 workers=None, tile=None, pool_policy=None,
-                 incremental=None):
+    def __init__(self, render_session, specialization, param, plan,
+                 table=None, supervisor=None, incremental=None):
         self.render_session = render_session
         self.specialization = specialization
         self.param = param
         self.table = table
-        self.backend = B.resolve_backend(
-            backend if backend is not None else render_session.backend
-        )
-        #: Tiled scheduler knobs (default from the session).  Tiling
-        #: engages on the plain batch path when a worker pool or an
-        #: explicit tile size is requested; guarded and dispatch-table
-        #: requests stay whole-frame (their fault attribution and
-        #: variant grouping are frame-global), so ``workers`` is a
-        #: no-op there — parity with ``workers=1`` holds trivially.
-        self.workers = (
-            P.resolve_workers(workers) if workers is not None
-            else render_session.workers
-        )
-        self.tile = tile if tile is not None else render_session.tile
-        #: Self-healing pool knobs (deadlines, restart budget); default
-        #: from the session so a service can tune every drag at once.
-        self.pool_policy = (
-            pool_policy if pool_policy is not None
-            else getattr(render_session, "pool_policy", None)
-        )
-        #: An injector whose only faults are process-level (worker
-        #: kill/hang/slow/garbled) exercises the *pool's* recovery, not
-        #: the per-pixel guard: it attaches to the executor and the
-        #: request stays on the tiled batch path.  In-process fault
-        #: rates keep the historical behavior (injector implies guard).
-        proc_rate = (
-            getattr(injector, "proc_rate", 0.0)
-            if injector is not None else 0.0
-        )
-        proc_only = (
-            injector is not None and proc_rate > 0.0
-            and injector.cache_rate <= 0.0 and injector.kernel_rate <= 0.0
-        )
-        guard_injector = None if proc_only else injector
+        #: This drag's :class:`~repro.runtime.plan.ExecutionPlan`
+        #: (backend, guard, tiling, injector split), derived once by
+        #: :meth:`RenderSession.begin_edit`.
+        self.plan = plan
+        self.backend = plan.backend
         self._executor = (
             P.TileExecutor(
-                workers=self.workers, tile=self.tile,
-                policy=self.pool_policy,
-                injector=injector if proc_rate > 0.0 else None,
+                workers=plan.workers, tile=plan.tile,
+                policy=plan.pool_policy, injector=plan.pool_injector,
             )
-            if self.backend == "batch"
-            and (self.workers > 1 or self.tile is not None)
-            else None
+            if plan.tiled else None
         )
         #: Telemetry bundle inherited from the session: frame spans,
         #: cost histograms, cache/guard metrics.
@@ -144,26 +111,22 @@ class EditSession(object):
         self.supervisor = supervisor or None
         #: Guarded execution: faults are contained to the pixel/lane
         #: that raised them (fallback to ``run_original``) and recorded
-        #: in :attr:`fault_log`.  Defaults to the session's knob; an
-        #: injector implies guarding.  A supervised guard inherits the
+        #: in :attr:`fault_log`.  A supervised guard inherits the
         #: supervisor's step deadline, so budget blowouts are contained
         #: per pixel and attributed as deadline misses.
-        use_guard = guard if guard is not None else render_session.guard
-        guard_cap = (
-            self.supervisor.policy.deadline_steps
-            if self.supervisor is not None else None
-        )
-        log = None
-        if (use_guard or guard_injector is not None) and self.obs.enabled:
-            log = FaultLog(on_record=self._guard_fault_hook())
-        self.guard = (
-            specialization.guarded(
-                table=table, injector=guard_injector, log=log,
-                max_steps=guard_cap,
+        self.guard = None
+        if plan.guard:
+            self.guard = specialization.guarded(
+                table=table, injector=plan.guard_injector,
+                log=(
+                    FaultLog(on_record=self._guard_fault_hook())
+                    if self.obs.enabled else None
+                ),
+                max_steps=(
+                    self.supervisor.policy.deadline_steps
+                    if self.supervisor is not None else None
+                ),
             )
-            if use_guard or guard_injector is not None
-            else None
-        )
         #: Scalar backend: one slot list per pixel.  Batch backend: one
         #: shared :class:`~repro.runtime.batch.SoACache` for the frame.
         self.caches = None
@@ -175,7 +138,7 @@ class EditSession(object):
         #: the delta path faults.  Defaults to the session's knob.
         self.incremental = bool(
             incremental if incremental is not None
-            else getattr(render_session, "incremental", False)
+            else render_session.incremental
         )
         #: How the most recent :meth:`load` was served: ``"full"``,
         #: ``"delta"`` (sliced refill), or ``"noop"`` (only varying
@@ -978,6 +941,14 @@ class RenderSession(object):
                  tile=None, pool_policy=None, store=None,
                  incremental=False):
         self.spec_info = SHADERS[shader_index]
+        #: The resolved :class:`~repro.runtime.plan.ExecutionPlan` every
+        #: drag derives its own from.  Sessions default to
+        #: ``backend="auto"`` (batch when NumPy is importable).
+        self.plan = ExecutionPlan(
+            backend=backend, guard=guard, workers=workers, tile=tile,
+            pool_policy=pool_policy,
+        )
+        self.backend = self.plan.backend
         #: Shared artifact store (:class:`~repro.serve.store
         #: .ArtifactStore`): specializations are fetched/persisted by
         #: content address, so sessions — and processes — pointed at
@@ -1001,29 +972,15 @@ class RenderSession(object):
             self.program = parse_program(
                 shader_program_source(self.spec_info)
             )
-        # Sessions default to ``backend="auto"`` (batch when NumPy is
-        # importable, scalar otherwise); pass ``backend="scalar"`` to opt
-        # out.  ``resolve_backend(None)`` itself stays "scalar" so bare
-        # DataSpecializer construction is unchanged.
         self.specializer = DataSpecializer(
-            self.program, specializer_options,
-            backend=backend if backend is not None else "auto",
-            guard=guard, policy=policy, obs=self.obs, workers=workers,
-            tile=tile, pool_policy=pool_policy,
+            self.program, specializer_options, obs=self.obs
         )
-        self.backend = self.specializer.backend
-        self.guard = self.specializer.guard
-        self.workers = self.specializer.workers
-        self.tile = self.specializer.tile
-        self.pool_policy = self.specializer.pool_policy
         #: Session-level render supervisor (deadlines, degradation
         #: ladder, circuit breakers).  Pass one explicitly to share
         #: breakers across sessions, or just a ``policy`` to get a
         #: private supervisor; None leaves rendering unsupervised.
-        if supervisor is None and self.specializer.policy is not None:
-            supervisor = RenderSupervisor(
-                self.specializer.policy, obs=self.obs
-            )
+        if supervisor is None and policy is not None:
+            supervisor = RenderSupervisor(policy, obs=self.obs)
         self.supervisor = supervisor
         #: Default for every drag's incremental-edit knob: when set,
         #: invariant-parameter edits refill only the dirtied cache
@@ -1150,22 +1107,18 @@ class RenderSession(object):
             self._spec_memo[key] = spec
         return spec
 
-    def begin_edit(self, param, dispatch=False, guard=None, injector=None,
-                   supervisor=None, workers=None, tile=None,
-                   pool_policy=None, incremental=None, **overrides):
+    def begin_edit(self, param, dispatch=False, injector=None,
+                   supervisor=None, incremental=None, **overrides):
         """Start an interactive drag of ``param``.
 
         ``dispatch=True`` additionally builds the Section 7.2 dispatch
         table and renders through per-pixel selected reader variants
         (falls back to the plain reader when the shader has no dispatch
-        candidates).  ``guard`` overrides the session's guarded-execution
-        knob for this drag; ``injector`` attaches a
-        :class:`~repro.runtime.faultinject.FaultInjector` (implies
-        guarding); ``supervisor`` overrides the session's supervisor
-        (``False`` opts this drag out of supervision); ``workers`` /
-        ``tile`` override the session's tiled-scheduler knobs;
-        ``pool_policy`` overrides the session's self-healing pool knobs
-        (hung-worker deadline, restart budget, breaker cooldowns);
+        candidates).  ``injector`` attaches a
+        :class:`~repro.runtime.faultinject.FaultInjector` (see
+        :meth:`ExecutionPlan.for_edit` for how its faults split between
+        guard and pool); ``supervisor`` overrides the session's
+        supervisor (``False`` opts this drag out of supervision);
         ``incremental`` overrides the session's incremental-edit knob
         (delta loaders refill only the dirtied cache slots)."""
         specialization = self.specialize(param, **overrides)
@@ -1175,9 +1128,9 @@ class RenderSession(object):
 
             table = build_dispatch_table(specialization)
         return EditSession(
-            self, specialization, param, table=table, guard=guard,
-            injector=injector, supervisor=supervisor, workers=workers,
-            tile=tile, pool_policy=pool_policy, incremental=incremental,
+            self, specialization, param,
+            self.plan.for_edit(dispatch=table is not None, injector=injector),
+            table=table, supervisor=supervisor, incremental=incremental,
         )
 
 
@@ -1195,15 +1148,11 @@ class ShaderInstallation(object):
     """
 
     def __init__(self, shader_index, scene=None, specializer_options=None,
-                 width=16, height=16, compile_code=True, backend=None,
-                 guard=False, supervisor=None, policy=None, obs=None,
-                 workers=None, tile=None, pool_policy=None):
+                 width=16, height=16, compile_code=True, **session_options):
         self.session = RenderSession(
             shader_index, scene=scene,
             specializer_options=specializer_options,
-            width=width, height=height, backend=backend, guard=guard,
-            supervisor=supervisor, policy=policy, obs=obs, workers=workers,
-            tile=tile, pool_policy=pool_policy,
+            width=width, height=height, **session_options
         )
         self.obs = self.session.obs
         self.specializations = {}
@@ -1235,8 +1184,7 @@ class ShaderInstallation(object):
     def partitions(self):
         return list(self.specializations)
 
-    def edit(self, param, guard=None, injector=None, supervisor=None,
-             workers=None, tile=None, pool_policy=None, incremental=None):
+    def edit(self, param, injector=None, supervisor=None, incremental=None):
         """Start a drag using the pre-built specialization."""
         if param not in self.specializations:
             raise SpecializationError(
@@ -1244,9 +1192,9 @@ class ShaderInstallation(object):
                 % (param, self.spec_info.name)
             )
         return EditSession(
-            self.session, self.specializations[param], param, guard=guard,
-            injector=injector, supervisor=supervisor, workers=workers,
-            tile=tile, pool_policy=pool_policy, incremental=incremental,
+            self.session, self.specializations[param], param,
+            self.session.plan.for_edit(injector=injector),
+            supervisor=supervisor, incremental=incremental,
         )
 
     def describe(self):

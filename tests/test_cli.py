@@ -328,6 +328,86 @@ class TestPoolKnobs:
         assert expected in err
         assert "Traceback" not in err
 
+    def test_five_subcommands_resolve_one_plan(self):
+        """The shared session-options helper gives every subcommand the
+        plan ``render`` resolves from the same flags."""
+        from repro.cli import _session_options
+        from repro.runtime.plan import ExecutionPlan
+
+        for flags, tiled in [
+            (["--workers", "2", "--tile", "64"], True),
+            (["--workers", "1"], True),
+            (["--backend", "scalar", "--workers", "2"], False),
+        ]:
+            plans = set()
+            for prefix in self.PREFIXES.values():
+                args = build_parser().parse_args(prefix + flags)
+                options = _session_options(args)
+                options.pop("pool_policy")
+                plans.add(ExecutionPlan(**options))
+            assert len(plans) == 1
+            assert plans.pop().tiled is tiled
+
+
+def _render_config(argv):
+    import json
+
+    code, out = run_cli(["render"] + argv + ["--json"])
+    assert code == 0
+    return json.loads(out)["config"]
+
+
+class TestRenderPlan:
+    """``render --json`` reports the plan the drag runs, not the flags:
+    only the tiled case carries a tile size and more than one worker."""
+
+    def test_tiled(self):
+        from repro.runtime import parallel as P
+
+        config = _render_config(["3", "--size", "8", "--workers", "2"])
+        assert config["tiled"] is True
+        assert config["workers"] == 2
+        assert config["tile"] == P.DEFAULT_TILE
+        assert config["transport"] == (
+            "shm" if P._pool_available() else "serial"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["3", "--guard"],
+        ["9", "--dispatch"],
+        ["3", "--backend", "scalar"],
+    ], ids=["guarded", "dispatch", "scalar"])
+    def test_untiled(self, argv):
+        config = _render_config(argv + ["--size", "8", "--workers", "2"])
+        assert config["tiled"] is False
+        assert config["workers"] == 1
+        assert config["tile"] is None
+        assert config["transport"] == "serial"
+
+    def test_text_header_reports_the_plan(self):
+        code, out = run_cli(
+            ["render", "3", "--size", "8", "--workers", "2", "--guard"]
+        )
+        assert code == 0
+        assert "(workers 1, transport serial)" in out.splitlines()[0]
+
+    def test_trace_tiles_like_render(self, tmp_path):
+        """``trace`` runs the path ``render`` runs with the same flags:
+        both record one ``render.tile`` span per frame."""
+        import json
+
+        def tile_spans(path):
+            with open(str(path)) as handle:
+                events = json.load(handle)["traceEvents"]
+            return sum(1 for e in events if e["name"] == "render.tile")
+
+        rendered, traced = tmp_path / "render.json", tmp_path / "trace.json"
+        run_cli(["render", "3", "--size", "16", "--workers", "1",
+                 "--trace-out", str(rendered)])
+        run_cli(["trace", "3", "--size", "16", "--workers", "1",
+                 "--adjusts", "1", "--out", str(traced)])
+        assert tile_spans(rendered) == tile_spans(traced) == 2
+
 
 class TestMainModule:
     def test_python_dash_m_repro(self, source_file):
