@@ -1,6 +1,6 @@
 """Measurement harness: speedups, overheads, cache sizes, limit sweeps."""
 
-from .animation import AnimationTrace, animate, bench_animation
+from .animation import AnimationTrace, animate
 from .harness import (
     PartitionMeasurement,
     measure_all_shaders,
@@ -13,7 +13,6 @@ __all__ = [
     "AnimationTrace",
     "PartitionMeasurement",
     "animate",
-    "bench_animation",
     "measure_all_shaders",
     "measure_partition",
     "measure_shader",

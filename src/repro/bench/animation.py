@@ -14,8 +14,8 @@ pay off — and where they must still produce byte-identical frames.
 once with ``incremental=True``, once without — asserts frame-for-frame
 byte parity, and returns an :class:`AnimationTrace` with the per-frame
 load paths, abstract cost totals, and wall-clock throughput.
-:func:`bench_animation` condenses that into the ``animation`` section
-of ``BENCH_render.json``.
+:func:`sweep_script` and :func:`orbit_script` are the seeded script
+generators; ``renderbench/animate.py`` builds its workload from them.
 """
 
 from __future__ import annotations
@@ -193,23 +193,3 @@ def animate(shader_index=DEFAULT_SHADER, param=DEFAULT_PARAM,
         shader_index, param, seed, frames, inc_seconds, full_seconds
     )
 
-
-def bench_animation(seed=0, **kwargs):
-    """The ``animation`` section for BENCH_render.json: one seeded
-    sweep + orbit animation, delta-vs-full cost and wall-clock ratios,
-    and the per-path frame counts."""
-    trace = animate(seed=seed, **kwargs)
-    counts = trace.path_counts()
-    return {
-        "shader": trace.shader_index,
-        "param": trace.param,
-        "seed": trace.seed,
-        "frames": len(trace.frames),
-        "paths": counts,
-        "delta_frames": counts.get("delta", 0),
-        "full_frames": counts.get("full", 0),
-        "incremental_cost": trace.total_cost,
-        "full_cost": trace.total_full_cost,
-        "cost_speedup": trace.cost_speedup,
-        "wall_speedup": trace.wall_speedup,
-    }

@@ -299,8 +299,8 @@ class Tracer(object):
 
     def stage_totals(self):
         """``{span name: {"count", "total", "median"}}`` over finished
-        spans — the per-stage timing summary ``tools/trace_smoke.py``
-        merges into ``BENCH_render.json``."""
+        spans — the per-stage timing summary ``repro trace`` prints and
+        ``tests/test_trace_smoke.py`` checks."""
         by_name = {}
         for span in self.spans:
             by_name.setdefault(span.name, []).append(span.duration)

@@ -255,41 +255,48 @@ class SoACache(object):
         fallback) keep the list representation with ``None`` holes.
         """
         for k, column in enumerate(tile.columns):
-            if column is None:
-                continue
-            if HAVE_NUMPY and isinstance(column, _np.ndarray):
-                frame = self.columns[k]
-                if isinstance(frame, list):
-                    frame[start:stop] = tile.demote_column(k)
-                    continue
-                if frame is None:
-                    frame = _np.zeros(
-                        (self.n,) + column.shape[1:], dtype=column.dtype
-                    )
-                    self.columns[k] = frame
-                    self.filled[k] = _np.zeros(self.n, dtype=bool)
-                frame[start:stop] = column
-                mask = self.filled[k]
-                if mask is True:
-                    mask = _np.ones(self.n, dtype=bool)
-                elif mask is None:
-                    mask = _np.zeros(self.n, dtype=bool)
-                tile_mask = tile.filled[k]
-                if tile_mask is None or tile_mask is True:
-                    mask[start:stop] = True
-                else:
-                    mask[start:stop] = tile_mask
-                self.filled[k] = True if mask.all() else mask
-            else:
-                frame = self.columns[k]
-                if frame is None:
-                    frame = [None] * self.n
-                    self.columns[k] = frame
-                    self.filled[k] = None
-                elif HAVE_NUMPY and isinstance(frame, _np.ndarray):
-                    frame = self.demote_column(k)
-                frame[start:stop] = column
+            if column is not None:
+                self._splice_column(k, start, stop, tile, column)
         return self
+
+    def _splice_column(self, k, start, stop, tile, column):
+        if HAVE_NUMPY and isinstance(column, _np.ndarray):
+            frame = self.columns[k]
+            if isinstance(frame, list):
+                frame[start:stop] = tile.demote_column(k)
+                return
+            if frame is None:
+                frame = _np.zeros(
+                    (self.n,) + column.shape[1:], dtype=column.dtype
+                )
+                self.columns[k] = frame
+                self.filled[k] = _np.zeros(self.n, dtype=bool)
+            frame[start:stop] = column
+            mask = self.filled[k]
+            if mask is True:
+                mask = _np.ones(self.n, dtype=bool)
+            elif mask is None:
+                mask = _np.zeros(self.n, dtype=bool)
+            self._merge_tile_mask(k, mask, start, stop, tile)
+        else:
+            frame = self.columns[k]
+            if frame is None:
+                frame = [None] * self.n
+                self.columns[k] = frame
+                self.filled[k] = None
+            elif HAVE_NUMPY and isinstance(frame, _np.ndarray):
+                frame = self.demote_column(k)
+            frame[start:stop] = column
+
+    def _merge_tile_mask(self, k, mask, start, stop, tile):
+        """Mark the tile's filled lanes in the frame-wide ``mask`` and
+        install it (normalized to ``True`` once every lane is filled)."""
+        tile_mask = tile.filled[k]
+        if tile_mask is None or tile_mask is True:
+            mask[start:stop] = True
+        else:
+            mask[start:stop] = tile_mask
+        self.filled[k] = True if mask.all() else mask
 
     # -- container protocol --------------------------------------------------
     #
@@ -805,6 +812,36 @@ class ShmSoACache(SoACache):
             for k in indices:
                 self.arena.column("col%d" % k)[...] = 0
                 self.arena.column("mask%d" % k)[...] = False
+
+    def _splice_column(self, k, start, stop, tile, column):
+        """Splice into the arena planes, so a frame a serial loader
+        stitched together stays backed by its arena (and its adjusts
+        stay eligible for the pool); a tile column whose dtype or shape
+        does not match its plane, or a column that already diverged,
+        takes the plain :class:`SoACache` path instead."""
+        frame = self.columns[k]
+        if self.arena.alive and isinstance(column, _np.ndarray):
+            plane = self.arena.column("col%d" % k)
+            if (
+                (frame is None or frame is plane)
+                and column.dtype == plane.dtype
+                and column.shape == (stop - start,) + plane.shape[1:]
+            ):
+                mask = self.arena.column("mask%d" % k)
+                if frame is None:
+                    # Lanes no tile splices (degraded tiles) must read
+                    # as zeros with False masks, like a fresh column.
+                    plane[...] = 0
+                    mask[...] = False
+                    self.columns[k] = plane
+                elif self.filled[k] is True:
+                    mask[...] = True
+                elif self.filled[k] is not mask:
+                    mask[...] = self.filled[k]
+                plane[start:stop] = column
+                self._merge_tile_mask(k, mask, start, stop, tile)
+                return
+        SoACache._splice_column(self, k, start, stop, tile, column)
 
     @classmethod
     def allocate(cls, layout, n):

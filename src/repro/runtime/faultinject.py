@@ -1,9 +1,9 @@
 """Deterministic fault injection for the guarded-execution subsystem.
 
-Tests (and ``tools/fault_smoke.py``) use a :class:`FaultInjector` to
-prove the robustness contract: under a seeded storm of cache corruption
-and forced kernel faults, every frame still completes and every
-fallback pixel bit-matches ``render_reference``.
+Tests (``tests/test_fault_smoke.py`` among them) use a
+:class:`FaultInjector` to prove the robustness contract: under a seeded
+storm of cache corruption and forced kernel faults, every frame still
+completes and every fallback pixel bit-matches ``render_reference``.
 
 All decisions derive from ``(seed, kind, lane, slot)`` through a
 private :class:`random.Random` per site, so an injection plan is a pure

@@ -256,7 +256,7 @@ FAULT_KINDS = ("crash", "hang", "garbled", "pipe")
 #: Incident ring capacity in :class:`PoolHealth`.
 MAX_POOL_INCIDENTS = 256
 
-#: Respawn-latency samples kept for the median (smoke tooling).
+#: Most recent respawn-latency samples kept for the median.
 _MAX_RESPAWN_SAMPLES = 512
 
 
@@ -276,7 +276,7 @@ class PoolHealth(object):
         self.quarantine_routed = 0
         self.reclaimed_segments = 0
         self.reclaimed_bytes = 0
-        self.respawn_ms = []
+        self.respawn_ms = deque(maxlen=_MAX_RESPAWN_SAMPLES)
         self.incidents = deque(maxlen=MAX_POOL_INCIDENTS)
         self.incidents_dropped = 0
         self._seq = itertools.count(1)
@@ -291,8 +291,7 @@ class PoolHealth(object):
 
     def note_respawn(self, ms):
         self.restarts += 1
-        if len(self.respawn_ms) < _MAX_RESPAWN_SAMPLES:
-            self.respawn_ms.append(ms)
+        self.respawn_ms.append(ms)
 
 
 POOL_HEALTH = PoolHealth()
@@ -365,7 +364,7 @@ _QUARANTINE = {}
 
 
 def pool_health():
-    """Self-healing state for ``repro health`` / smoke tooling: loss,
+    """Self-healing state for ``repro health`` and ``/health``: loss,
     redispatch, respawn, quarantine, breaker, and reclamation counters
     plus the recent incident ring."""
     health = POOL_HEALTH
@@ -400,7 +399,7 @@ def pool_health():
 
 
 def reset_pool_state():
-    """Forget breaker/quarantine/health state (tests, smoke tools)."""
+    """Forget breaker/quarantine/health state (tests)."""
     POOL_HEALTH.reset()
     _BREAKER.reset()
     _KERNEL_STRIKES.clear()
@@ -1740,16 +1739,25 @@ class TileExecutor(object):
             mixed = any(entry[2] is not None for entry in tiles.values())
             if mixed:
                 # Rare per-tile pipe fallback inside an shm run: give
-                # the shm tiles view-based caches so the normal splice
-                # path stitches the whole frame uniformly (the arena is
-                # then just scratch space).
+                # the shm tiles their own copies of what they wrote, so
+                # the normal splice path stitches the whole frame back
+                # into the arena planes uniformly (it re-zeroes each
+                # plane before the first tile lands).
                 for tile_index, states in loader_states.items():
                     start, stop = plan[tile_index]
                     values, lane_costs, _ = tiles[tile_index]
-                    tiles[tile_index] = (
-                        values, lane_costs,
-                        _view_tile_cache(frame, layout, states, start, stop),
+                    cache = _view_tile_cache(
+                        frame, layout, states, start, stop
                     )
+                    cache.columns = [
+                        None if c is None else c.copy()
+                        for c in cache.columns
+                    ]
+                    cache.filled = [
+                        f if f is None or f is True else f.copy()
+                        for f in cache.filled
+                    ]
+                    tiles[tile_index] = (values, lane_costs, cache)
             else:
                 commit = self._make_commit(
                     frame, frame_cache, layout, plan, loader_states

@@ -1,6 +1,6 @@
 """Minimal stdlib client for a running ``repro serve`` daemon.
 
-Used by ``repro health --url``, the serve smoke tool, and the tests;
+Used by ``repro health --url``, ``renderbench/serve.py`` and the tests;
 kept dependency-free (``urllib``) and symmetrical with the HTTP routes
 in :mod:`repro.serve.http`.  Responses with status >= 400 raise
 :class:`ClientError` carrying the decoded error payload and, for 429

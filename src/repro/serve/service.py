@@ -2,7 +2,7 @@
 
 :class:`RenderService` is the transport-independent core of ``repro
 serve`` — the HTTP layer (:mod:`repro.serve.http`) is a thin adapter
-over it, and tests/smoke tools drive it in-process for determinism.
+over it, and tests drive it in-process for determinism.
 It hosts one :class:`~repro.shaders.render.RenderSession` per created
 session, all sharing:
 
@@ -177,8 +177,8 @@ class Admission(object):
     Deliberately a counter and not a queue: there is no waiting state,
     so an overloaded service answers 429 in microseconds instead of
     holding sockets open.  The seeded RNG makes every Retry-After hint
-    reproducible (``seed|shed|<ordinal>``), which the shed tests and
-    the smoke tool rely on.
+    reproducible (``seed|shed|<ordinal>``), which the shed tests rely
+    on.
     """
 
     def __init__(self, max_inflight, tenant_inflight=None,

@@ -185,7 +185,8 @@ class EditSession(object):
         with self.obs.span(
             "render.load", shader=self.render_session.spec_info.name,
             partition=self.param, backend=self.backend,
-            pixels=len(self.render_session.scene),
+            pixels=len(self.render_session.scene), tiled=self.plan.tiled,
+            workers=self.plan.workers, transport=self.plan.transport,
         ) as span:
             image = self._load_frame(controls)
             span.set(
@@ -202,7 +203,8 @@ class EditSession(object):
         with self.obs.span(
             "render.adjust", shader=self.render_session.spec_info.name,
             partition=self.param, backend=self.backend,
-            pixels=len(self.render_session.scene),
+            pixels=len(self.render_session.scene), tiled=self.plan.tiled,
+            workers=self.plan.workers, transport=self.plan.transport,
         ) as span:
             image = self._adjust_frame(controls)
             span.set(cost=image.total_cost, rung=self._rung_label())

@@ -1,5 +1,6 @@
 """Meta-tests keeping the documentation and the code in sync."""
 
+import glob
 import os
 import re
 
@@ -18,6 +19,28 @@ class TestExperimentIndex:
         for match in re.finditer(r"benchmarks/(test_\w+\.py)", design):
             path = os.path.join(REPO, "benchmarks", match.group(1))
             assert os.path.exists(path), match.group(1)
+
+    def test_every_named_script_exists(self):
+        """Every ``tools/`` or ``renderbench/`` script named in the
+        README, the docs, the skill notes or the package source exists,
+        and none of them points at a retired ``BENCH_*.json`` file."""
+        paths = ["README.md"]
+        paths += glob.glob(os.path.join(REPO, "docs", "*.md"))
+        paths += glob.glob(
+            os.path.join(REPO, ".claude", "skills", "**", "SKILL.md"),
+            recursive=True,
+        )
+        paths += glob.glob(
+            os.path.join(REPO, "src", "repro", "**", "*.py"), recursive=True
+        )
+        script = re.compile(r"(?<![\w/.])((?:tools|renderbench)/[\w/]+\.py)")
+        for path in paths:
+            text = read(path)
+            for match in script.finditer(text):
+                assert os.path.exists(os.path.join(REPO, match.group(1))), (
+                    "%s names missing %s" % (path, match.group(1))
+                )
+            assert not re.search(r"BENCH_\w+\.json", text), path
 
     def test_every_bench_file_is_indexed(self):
         """Every benchmark file appears in DESIGN.md and benchmarks/README."""

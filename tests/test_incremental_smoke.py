@@ -1,60 +1,77 @@
-"""Non-gating incremental-edit perf smoke (run with -m incsmoke).
+"""Incremental edits: delta refills vs full reloads (run with
+``-m incsmoke``; deselected by default).
 
-Wraps ``tools/incremental_smoke.py``: on the noise-heavy bench shaders,
-single-invariant-parameter edits served by the delta path must be at
-least 3x faster than a full cache load, byte-identical frames asserted
-along the way, with the throughput section merged into
-``BENCH_render.json``.
+On the noise-heavy shaders, where loads dominate, the same
+single-invariant-parameter edit runs through two identical drags — one
+``incremental=True`` (the delta loader refills only the dirtied cache
+slots), one reloading the whole cache.  Every frame pair must be
+byte-identical and served by the delta path; then the delta refill
+must beat the full load by ``MIN_INCREMENTAL_SPEEDUP`` in wall time
+and cost fewer abstract steps.
 """
 
-import importlib.util
-import json
-import os
+import time
 
 import pytest
 
-_TOOL = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tools",
-    "incremental_smoke.py",
-)
+from repro.shaders.render import RenderSession
 
-
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("incremental_smoke", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+SIZE = 48
+#: Best-of-N timing to damp scheduler noise.
+REPEATS = 3
+#: Required delta-refill advantage over a full cache load.
+MIN_INCREMENTAL_SPEEDUP = 3.0
 
 
 @pytest.mark.incsmoke
-def test_incremental_smoke(tmp_path):
-    tool = _load_tool()
-    out_path = str(tmp_path / "BENCH_render.json")
-    section = tool.run(out_path=out_path)
+@pytest.mark.parametrize("shader,param", [(3, "veinfreq"), (5, "density")])
+def test_delta_refill_beats_full_load(shader, param):
+    full_session = RenderSession(shader, width=SIZE, height=SIZE)
+    inc_session = RenderSession(shader, width=SIZE, height=SIZE,
+                                incremental=True)
+    full_edit = full_session.begin_edit(param)
+    inc_edit = inc_session.begin_edit(param)
+    full_edit.load(full_session.controls)
+    inc_edit.load(inc_session.controls)
 
-    with open(out_path) as handle:
-        written = json.load(handle)
-    assert written["incremental_smoke"]["edits"]
-    assert section["min_speedup"] >= tool.MIN_INCREMENTAL_SPEEDUP
-    for entry in section["edits"]:
-        assert entry["speedup"] >= tool.MIN_INCREMENTAL_SPEEDUP
-        assert entry["dirty_slots"]
-        assert entry["cost_speedup"] > 1.0
+    # Edit the control parameter with the smallest non-empty dirty set:
+    # the edit the delta path exists for.
+    spec = inc_edit.specialization
+    candidates = [
+        (len(spec.dirty_slots({name})), name)
+        for name in full_session.spec_info.control_params
+        if name != param and spec.dirty_slots({name})
+    ]
+    assert candidates, "no control parameter dirties any cache slot"
+    edited = min(candidates)[1]
+    base = full_session.controls[edited]
 
+    full_seconds = delta_seconds = float("inf")
+    for step in range(REPEATS):
+        controls = full_session.controls_with(
+            **{edited: base * (1.2 + 0.2 * step) + 0.01}
+        )
+        start = time.perf_counter()
+        full_frame = full_edit.load(controls)
+        full_seconds = min(full_seconds, time.perf_counter() - start)
+        start = time.perf_counter()
+        inc_frame = inc_edit.load(controls)
+        delta_seconds = min(delta_seconds, time.perf_counter() - start)
+        assert inc_edit._last_load_path == "delta", (
+            "edit of %r took the %r path" % (edited, inc_edit._last_load_path)
+        )
+        assert inc_frame.colors == full_frame.colors, (
+            "delta refill diverges from full load on %r" % edited
+        )
+    full_edit.close()
+    inc_edit.close()
 
-@pytest.mark.incsmoke
-def test_incremental_smoke_preserves_other_sections(tmp_path):
-    """The read-modify-write merge keeps sections other tools own."""
-    tool = _load_tool()
-    out_path = str(tmp_path / "BENCH_render.json")
-    with open(out_path, "w") as handle:
-        json.dump({"adjust_speedup": 42.0}, handle)
-    tool.run(out_path=out_path)
-    with open(out_path) as handle:
-        written = json.load(handle)
-    assert written["adjust_speedup"] == 42.0
-    assert "incremental_smoke" in written
+    assert full_frame.total_cost > inc_frame.total_cost
+    speedup = full_seconds / delta_seconds
+    assert speedup >= MIN_INCREMENTAL_SPEEDUP, (
+        "delta refill only %.2fx a full load on edit of %r (need >= %.1fx)"
+        % (speedup, edited, MIN_INCREMENTAL_SPEEDUP)
+    )
 
 
 @pytest.mark.incsmoke

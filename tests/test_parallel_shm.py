@@ -369,6 +369,128 @@ def test_serial_fallback_leaves_half_open_breaker_alone():
         P.reset_pool_state()
 
 
+# -- serial loaders keep the shm frame cache backed --------------------------
+
+
+@requires_shm
+def test_shm_splice_writes_arena_planes():
+    """Splicing tiles into an shm frame cache writes the arena planes
+    in place; lanes no tile reached (a degraded tile) read as zeros
+    with False masks, and a mismatched tile column takes the plain
+    SoACache path (the column diverges from the arena)."""
+    np = B._np
+    session = RenderSession(3, width=6, height=4, backend="batch")
+    edit = session.begin_edit("veinfreq")
+    edit.load(session.controls)
+    source = edit.caches
+    cache = B.ShmSoACache.allocate(source.layout, source.n)
+    try:
+        cache.arena.column("col0")[...] = 7  # stale bytes get cleared
+        for start, stop in ((8, 16), (16, 24)):  # lanes 0:8 degraded
+            tile = source.tile(start, stop)
+            tile.columns = [
+                None if c is None else np.array(c) for c in tile.columns
+            ]
+            cache.splice(start, stop, tile)
+        for k, column in enumerate(source.columns):
+            if column is None:
+                assert cache.columns[k] is None
+                continue
+            plane = cache.arena.column("col%d" % k)
+            assert cache.columns[k] is plane
+            assert not plane[:8].any()
+            assert not cache.arena.column("mask%d" % k)[:8].any()
+            assert np.array_equal(plane[8:], column[8:])
+            assert cache.filled[k] is cache.arena.column("mask%d" % k)
+        assert P._shm_cache_states(cache) is not None
+
+    finally:
+        cache.arena.release()
+
+    fresh = B.ShmSoACache.allocate(source.layout, source.n)
+    try:
+        k = next(k for k, c in enumerate(source.columns) if c is not None)
+        odd = B.SoACache(source.layout, 8)
+        odd.columns[k] = np.asarray(source.columns[k][:8], dtype=np.float32)
+        fresh.splice(0, 8, odd)
+        assert fresh.columns[k] is not fresh.arena.column("col%d" % k)
+        assert P._shm_cache_states(fresh) is None
+    finally:
+        fresh.arena.release()
+
+
+def _force_serial_load(cause, edit, monkeypatch):
+    """Make the next tiled load of ``edit`` miss the pool: an open
+    breaker, a quarantined loader kernel, or (``pipe``) one tile whose
+    results come back over the pipe inside an otherwise pooled run."""
+    if cause == "breaker":
+        P._BREAKER.trip(P.PoolPolicy())
+        P._BREAKER.probe_at = 10 ** 9
+    elif cause == "quarantine":
+        loader = edit.specialization.batch_kernel("loader")
+        P._QUARANTINE[edit._executor._token_for(loader)] = "loader"
+    else:
+        store = P._store_tile
+
+        def pipe_first_tile(frame, values_buf, costs_buf, loader,
+                            tile_index, start, stop, values, lane_costs,
+                            tile_cache):
+            if loader and tile_index == 0:
+                return (tile_index, "pipe", (values, lane_costs, tile_cache))
+            return store(frame, values_buf, costs_buf, loader, tile_index,
+                         start, stop, values, lane_costs, tile_cache)
+
+        # Workers fork after the patch, so they inherit it too.
+        monkeypatch.setattr(P, "_store_tile", pipe_first_tile)
+
+
+@requires_numpy
+@requires_fork
+@requires_shm
+@pytest.mark.parametrize("cause", ["breaker", "quarantine", "pipe"])
+def test_serial_loader_keeps_shm_cache_pooled(cause, monkeypatch):
+    """A loader that runs (some of) its tiles outside the pool on an
+    shm frame cache splices them into the arena planes, so the cache
+    stays arena-backed and the drag's adjusts go back to the pool as
+    soon as it is usable — with frames and costs byte-identical to the
+    untiled drag, and no segment left behind."""
+    param = "veinfreq"
+    base = RenderSession(3, width=16, height=16, backend="batch")
+    ref_load, ref_adj = _drag(base, base.begin_edit(param), param)
+    before = _shm_segments()
+    P._discard_pool()
+    P.reset_pool_state()
+    session = RenderSession(3, width=16, height=16, backend="batch",
+                            workers=2, tile=64)
+    edit = session.begin_edit(param)
+    try:
+        _force_serial_load(cause, edit, monkeypatch)
+        loaded = edit.load(session.controls)
+        stats = edit._executor.last_stats
+        if cause == "breaker":
+            assert stats.breaker_open and not stats.pooled
+        elif cause == "quarantine":
+            assert stats.quarantined and not stats.pooled
+        else:
+            assert stats.pooled
+        assert isinstance(edit.caches, B.ShmSoACache)
+        assert P._shm_cache_states(edit.caches) is not None
+        P._BREAKER.reset()
+        adjusted = edit.adjust(session.controls_with(
+            **{param: session.controls[param] * 1.3 + 0.05}
+        ))
+        assert edit._executor.last_stats.pooled
+        _assert_equal(ref_load, loaded, "%s load" % cause)
+        _assert_equal(ref_adj, adjusted, "%s adjust" % cause)
+    finally:
+        edit.close()
+        P.shutdown_pools()
+        P.reset_pool_state()
+    del edit, session
+    gc.collect()
+    assert not (_shm_segments() - before)
+
+
 # -- degradation over shared columns -----------------------------------------
 
 

@@ -288,6 +288,18 @@ def test_pool_reconverges_warm_after_respawn():
     _assert_equal(expect, second, "all-warm adjust")
 
 
+def test_respawn_median_slides_over_recent_samples():
+    """A long-lived daemon's respawn median follows its most recent
+    512 respawns instead of freezing on its first 512; ``restarts``
+    still counts every respawn."""
+    for ms in range(600):
+        P.POOL_HEALTH.note_respawn(float(ms))
+    health = P.pool_health()
+    assert health["restarts"] == 600
+    assert health["respawn_samples"] == 512
+    assert health["respawn_ms_median"] == (88 + 599) / 2.0
+
+
 # -- quarantine: poison kernels route to serial ------------------------------
 
 

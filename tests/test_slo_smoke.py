@@ -1,59 +1,84 @@
-"""Non-gating SLO smoke (deselected by default; run with
-``-m slosmoke``).
+"""SLO accounting over a burst of service renders (run with
+``-m slosmoke``; deselected by default).
 
-Wraps ``tools/slo_smoke.py``: drives a burst of render requests
-through an in-process service (fork workers when available), asserts
-the SLO tracker counted every request with a finite burn rate and
-populated p50/p99, and merges attainment plus per-stage worker-span
-medians into ``BENCH_render.json`` under an ``"slo"`` key.
+An in-process :class:`~repro.serve.service.RenderService` (fork workers
+when NumPy and the fork start method are available) serves a burst of
+renders through the same request-id / span-mark / observe plumbing the
+HTTP layer uses.  Every request succeeds, the SLO tracker counts every
+one with a finite burn rate and populated p50/p99, nothing is shed,
+and with fork workers the merged trace carries worker-side spans.
 """
 
-import importlib.util
-import json
-import os
+import time
 
 import pytest
 
-_TOOL = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "tools",
-    "slo_smoke.py",
-)
+from repro.obs.trace import request_context
+from repro.runtime import batch as B
+from repro.runtime import parallel as P
+from repro.serve import RenderService, ServiceConfig
+from repro.serve.service import ServiceError
+
+SHADER = 1
+SIZE = 16
+REQUESTS = 12
 
 
-def _load_tool():
-    spec = importlib.util.spec_from_file_location("slo_smoke", _TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _drive(service):
+    """The HTTP layer's per-request plumbing, without sockets."""
+    sid = service.create_session("slo-smoke", SHADER, SIZE, SIZE)["session"]
+    statuses = []
+    for _ in range(REQUESTS):
+        rid = service.mint_request_id()
+        mark = service.span_mark()
+        started = time.monotonic()
+        status, body = 200, {}
+        with request_context(rid):
+            with service.obs.span(
+                "serve.request", method="POST",
+                path="/sessions/%s/render" % sid,
+            ) as span:
+                try:
+                    body = service.render(sid)
+                except ServiceError as err:
+                    status = err.status
+                span.set(endpoint="render", status=status)
+            service.observe(
+                "render", status, (time.monotonic() - started) * 1000.0,
+                request_id=rid, tenant="slo-smoke", span_mark=mark,
+                session=sid, rung=body.get("rung"),
+                phase=body.get("phase"),
+            )
+        statuses.append(status)
+    return statuses
 
 
 @pytest.mark.slosmoke
-def test_slo_smoke(tmp_path):
-    tool = _load_tool()
-    out_path = str(tmp_path / "BENCH_render.json")
-    # Seed the file with a foreign section to prove read-modify-write.
-    with open(out_path, "w") as handle:
-        json.dump({"adjust_speedup": 4.0, "trace": {"shader": 1}}, handle)
+def test_slo_tracker_counts_every_render(tmp_path):
+    fork = B.HAVE_NUMPY and P._fork_available()
+    knobs = {"flight_slow_ms": 0.0}
+    if fork:
+        knobs.update(backend="batch", workers="fork:2", tile=64)
+    P._discard_pool()
+    P.reset_pool_state()
+    service = RenderService(ServiceConfig(store_dir=str(tmp_path), **knobs))
+    try:
+        assert _drive(service) == [200] * REQUESTS
+        report = service.slo.report(service.obs.registry)
+        totals = service.obs.tracer.stage_totals()
+    finally:
+        service.drain()
+        P._discard_pool()
+        P.reset_pool_state()
 
-    report = tool.run(out_path=out_path)
-
-    assert report["requests"] == tool.REQUESTS
-    render = report["objectives"]["render_latency"]
-    assert render["count"] == tool.REQUESTS
-    assert render["p50_ms"] is not None
-    assert render["p99_ms"] is not None
+    objectives = {o["name"]: o["lifetime"] for o in report["objectives"]}
+    render = objectives["render_latency"]
+    assert render["count"] == REQUESTS
+    assert render["burn_rate"] is not None
+    assert render["p50_ms"] is not None and render["p99_ms"] is not None
     assert render["p99_ms"] >= render["p50_ms"]
-    assert report["objectives"]["shed_rate"]["ratio"] == 0.0
-    if report["workers"] == "fork:2":
-        assert report["worker_spans"] > 0
-        assert "worker.tile" in report["worker_stage_median_ms"]
-
-    with open(out_path) as handle:
-        written = json.load(handle)
-    assert written["adjust_speedup"] == 4.0  # foreign sections kept
-    assert written["trace"] == {"shader": 1}
-    assert written["slo"]["requests"] == tool.REQUESTS
-    assert written["slo"]["objectives"]["render_latency"]["count"] == (
-        tool.REQUESTS
-    )
+    assert objectives["shed_rate"]["ratio"] == 0.0
+    if fork:
+        assert totals.get("worker.tile", {}).get("count", 0) > 0, (
+            "fork workers configured but no worker-side spans merged"
+        )
