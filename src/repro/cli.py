@@ -37,6 +37,7 @@ from .lang.errors import (
 )
 from .lang.parser import parse_program
 from .lang.pretty import format_function
+from .runtime import native
 from .runtime.interp import Interpreter
 from .runtime.parallel import DEFAULT_TILE, resolve_tile, resolve_workers
 
@@ -463,6 +464,8 @@ def _render_service_health(payload, out, as_json):
             store.get("lock_files", 0),
         )
     )
+    if service.get("native_builtins"):
+        out.write("%s\n" % native.summary(service["native_builtins"]))
     recovery = service.get("recovery") or {}
     if recovery:
         recovered = recovery.get("store") or {}
@@ -536,10 +539,12 @@ def cmd_health(args, out):
         value = session.controls[param] * (1.0 + 0.05 * (i + 1))
         edit.adjust(session.controls_with(**{param: value}))
     snapshot = session.supervisor.health()
+    native_section = native.report()
     if args.json:
         json.dump(
-            _health_payload(session.supervisor), out,
-            indent=2, sort_keys=True,
+            dict(_health_payload(session.supervisor),
+                 native_builtins=native_section),
+            out, indent=2, sort_keys=True,
         )
         out.write("\n")
     else:
@@ -550,6 +555,7 @@ def cmd_health(args, out):
         )
         for line in snapshot.summary().splitlines():
             out.write("  %s\n" % line)
+        out.write("  %s\n" % native.summary(native_section))
     return 0
 
 
@@ -833,10 +839,15 @@ def cmd_stats(args, out):
                     obs.registry, spec, session.spec_info.name, param
                 )
     obs.merge_stage_metrics()
+    native_section = native.report()
+    native.export(obs.registry)
     if args.format == "prometheus":
         out.write(to_prometheus(obs.registry))
     else:
         out.write(to_json_lines(obs.registry, obs.tracer))
+        out.write(json.dumps(
+            dict(native_section, kind="native_builtins"), sort_keys=True
+        ) + "\n")
     return 0
 
 

@@ -23,6 +23,11 @@ from __future__ import annotations
 
 import re
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - NumPy-less installs
+    _np = None
+
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -145,11 +150,14 @@ class GaugeChild(_Child):
 
 
 class HistogramChild(_Child):
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum", "count", "_bounds")
 
     def __init__(self, label_values, buckets):
         super().__init__(label_values)
         self.buckets = buckets
+        self._bounds = (
+            _np.asarray(buckets, dtype=float) if _np is not None else None
+        )
         #: Cumulative-style on export; stored per-bucket here.
         self.counts = [0] * (len(buckets) + 1)  # +1 for +Inf
         self.sum = 0
@@ -163,6 +171,32 @@ class HistogramChild(_Child):
                 self.counts[i] += 1
                 return
         self.counts[-1] += 1
+
+    def observe_many(self, values):
+        """``observe`` every value of a sequence or array at once, with
+        the same bucket counts and the same sum (exact for integers,
+        added in order for floats)."""
+        array = _np.asarray(values).reshape(-1) if _np is not None else None
+        if array is None or array.dtype.kind not in "iuf":
+            for value in values:
+                self.observe(value)
+            return
+        if array.size == 0:
+            return
+        # side="left" finds the first bound with value <= bound, as
+        # observe does; NaN sorts past every bound, into +Inf.
+        slots = _np.searchsorted(self._bounds, array, side="left")
+        counts = _np.bincount(slots, minlength=len(self.counts)).tolist()
+        for i, count in enumerate(counts):
+            self.counts[i] += count
+        self.count += array.size
+        if array.dtype.kind == "f":
+            total = self.sum
+            for value in array.tolist():
+                total += value
+            self.sum = total
+        else:
+            self.sum += sum(array.tolist())
 
     def cumulative(self):
         """``[(upper_bound, cumulative_count), ...]`` ending at +Inf."""
@@ -365,6 +399,9 @@ class _NullInstrument(object):
         pass
 
     def observe(self, value, **labels):
+        pass
+
+    def observe_many(self, values):
         pass
 
     def percentile(self, q):

@@ -437,16 +437,6 @@ def value_rows(values, n):
     return _column_rows(values, n)
 
 
-def cost_rows(lane_costs, n):
-    """Per-lane step costs from :meth:`BatchKernel.run_lanes` as a list
-    of Python ints (the vectorized path yields an int64 array, the
-    per-row fallback a list).  Only the per-pixel cost histogram needs
-    this; totals and deadlines use :func:`cost_total`/:func:`cost_max`."""
-    if isinstance(lane_costs, list):
-        return [int(c) for c in lane_costs]
-    return lane_costs.tolist()
-
-
 def cost_total(lane_costs):
     """Exact frame total of per-lane step costs, as a Python int."""
     if isinstance(lane_costs, list):

@@ -77,6 +77,7 @@ from ..lang.errors import DeadlineError
 from ..lang.types import FLOAT, INT, MAT3, VEC3
 from ..obs import NULL_OBS
 from . import batch as B
+from . import native
 from .colors import join_colors
 
 #: Default lanes per tile.  Sized so one tile's SoA columns (~10 slots x
@@ -569,6 +570,10 @@ class WorkerPool(object):
             self._conns.append(conn)
 
     def _spawn(self):
+        # Resolve the native builtin tier before forking so the worker
+        # inherits the loaded library (or the fallback verdict) and
+        # never runs the compiler inside a tile's deadline.
+        native.library()
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main, args=(child_conn,), daemon=True

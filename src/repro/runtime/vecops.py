@@ -13,16 +13,28 @@ supplies everything those kernels call at run time:
 Bit-exactness contract: every vectorized operation performs the same
 IEEE-754 double operations, in the same order, as its scalar
 counterpart, so batch results are bit-identical to the scalar path.
-Operations NumPy does not evaluate identically to libm (``sin``,
-``pow``, ...) run lane-at-a-time through the scalar implementation
-instead of through NumPy's SIMD approximations — see ``_lanewise``.
-The noise family (``noise``/``snoise``/``fbm``/``turbulence``) is pure
-lattice arithmetic — floors, table gathers, adds and multiplies — so it
-vectorizes exactly via the ``*_array`` mirrors in
-:mod:`repro.shaders.noise`.  Lanes that are masked off by divergence may compute
-garbage (that is the nature of full-width evaluation); domain errors on
-such lanes yield NaN instead of raising, and the garbage is discarded
-by the enclosing select.
+Builtins fall in three groups:
+
+* arithmetic NumPy evaluates with the scalar path's exact double steps
+  (``sqrt``, ``floor``, ``fmod``, ``dot``, the matrix helpers, ...)
+  runs as NumPy array code;
+* the libm transcendentals (``sin``/``cos``/``tan``/``atan``/``exp``/
+  ``log``/``pow``) and the noise family (``noise``/``snoise``/``fbm``/
+  ``turbulence``) run as whole-column C loops of
+  :mod:`repro.runtime.native` whenever that library loads, and
+  ``rotation_*``/``rotate_*`` are NumPy assembly over its ``sin``/
+  ``cos``.  NumPy's own SIMD ``sin``/``pow`` round differently from
+  libm, so they are never used;
+* without the native library, the transcendentals and rotations run
+  lane-at-a-time through the scalar implementation (``_lanewise``),
+  and the noise family through the bit-exact ``*_array`` mirrors in
+  :mod:`repro.shaders.noise`.
+
+A call whose arguments are all uniform (controls) runs the scalar
+builtin once and broadcasts the result.  Lanes that are masked off by
+divergence may compute garbage (that is the nature of full-width
+evaluation); domain errors on such lanes yield NaN instead of raising,
+and the garbage is discarded by the enclosing select.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ import math
 
 from ..lang.errors import EvalError
 from ..shaders import noise as _noise_mod
+from . import native as _native
 from .builtins import REGISTRY
 
 try:
@@ -177,8 +190,9 @@ def _column_rows(column, n):
 def _lanewise(fn, fill):
     """Wrap a scalar builtin as a batch builtin of ``(n, *columns)``.
 
-    Runs the exact scalar implementation per lane, so transcendental and
-    noise results are bit-identical to the scalar path.  Domain errors
+    Runs the exact scalar implementation per lane, so its results are
+    bit-identical to the scalar path (the transcendentals and rotations
+    take this path on hosts without the native library).  Domain errors
     become ``fill`` (NaN) — the lane is either masked off, or the result
     is as invalid as the scalar run would have been.
 
@@ -228,11 +242,69 @@ def _stackk(n, k, comps):
     return out
 
 
+#: Builtins whose per-lane calls run as native C loops when the
+#: library loads (the lane-at-a-time path otherwise).
+_NATIVE_LIBM = ("sin", "cos", "tan", "atan", "exp", "log", "pow")
+
+#: ``fbm``/``turbulence`` lacunarity and gain (the scalar defaults).
+_FRACTAL_PARAMS = (2.0, 0.5)
+
+
+def _lane_column(x, n):
+    """A scalar argument as the ``(n,)`` float64 C-contiguous column the
+    native loops take (uniform values broadcast)."""
+    column = _np.asarray(x, dtype=_np.float64)
+    if column.ndim == 0:
+        return _np.full(n, column)
+    return _np.ascontiguousarray(column)
+
+
+def _lane_points(p, n):
+    """A vec3 argument as an ``(n, 3)`` float64 C-contiguous block."""
+    block = _np.ascontiguousarray(p, dtype=_np.float64)
+    if block.ndim == 1:
+        block = _np.repeat(block[None, :], n, axis=0)
+    return block
+
+
+def _native_or_lanewise(name, lanewise):
+    """Per-lane calls of ``name`` as one native loop; uniform calls, and
+    every call on a host without the library, through ``lanewise``."""
+
+    def run(n, *args):
+        if any(_per_lane(a) for a in args):
+            loops = _native.library()
+            if loops is not None:
+                return loops.run(name, n, *[_lane_column(a, n) for a in args])
+        return lanewise(n, *args)
+
+    return run
+
+
+def _native_sincos(n, angle, other_per_lane=False):
+    """``(sin, cos, raises)`` columns of a rotation angle from the native
+    loops — ``raises`` marks the ±inf lanes where the scalar builtin
+    raises — or None when the call is uniform or the library is
+    unavailable."""
+    if not (other_per_lane or _per_lane(angle)):
+        return None
+    loops = _native.library()
+    if loops is None:
+        return None
+    angle = _lane_column(angle, n)
+    return (
+        loops.run("sin", n, angle),
+        loops.run("cos", n, angle),
+        _np.isinf(angle),
+    )
+
+
 def _make_vec_builtins():
     ns = {}
 
-    # Default: every pure builtin runs lane-at-a-time (correct for noise,
-    # transcendentals, rotations — anything NumPy would round differently).
+    # Default: every pure builtin runs lane-at-a-time through the scalar
+    # implementation; the overrides below keep these as the path for
+    # uniform calls and for hosts without the native library.
     for name in VECTORIZABLE:
         builtin = REGISTRY[name]
         ty_name = builtin.ret_type.name
@@ -414,21 +486,85 @@ def _make_vec_builtins():
             return s
         return _np.full(n, float(s))
 
-    def vb_noise(n, p):
-        x, y, z = _vec3_cols(p, n)
-        return _noise_mod.noise3_array(x, y, z)
+    def _noise_builtin(name, mirror):
+        def run(n, p):
+            loops = _native.library()
+            if loops is not None:
+                return loops.run(name, n, _lane_points(p, n))
+            return mirror(*_vec3_cols(p, n))
 
-    def vb_snoise(n, p):
-        x, y, z = _vec3_cols(p, n)
-        return _noise_mod.snoise3_array(x, y, z)
+        return run
 
-    def vb_fbm(n, p, octaves):
-        x, y, z = _vec3_cols(p, n)
-        return _noise_mod.fbm3_array(x, y, z, _scalar_col(octaves, n))
+    def _fractal_builtin(name, mirror):
+        def run(n, p, octaves):
+            loops = _native.library()
+            if loops is not None:
+                return loops.run(
+                    name, n, _lane_points(p, n), _lane_column(octaves, n),
+                    params=_FRACTAL_PARAMS,
+                )
+            return mirror(*_vec3_cols(p, n), _scalar_col(octaves, n))
 
-    def vb_turbulence(n, p, octaves):
-        x, y, z = _vec3_cols(p, n)
-        return _noise_mod.turbulence3_array(x, y, z, _scalar_col(octaves, n))
+        return run
+
+    lanewise_fmod = ns["fmod"]
+
+    def vb_fmod(n, a, b):
+        if not (_per_lane(a) or _per_lane(b)):
+            return lanewise_fmod(n, a, b)
+        a = _as_float(a)
+        b = _as_float(b)
+        with _np.errstate(invalid="ignore", divide="ignore"):
+            r = _np.fmod(a, b)
+        raises = (b == 0.0) | (_np.isnan(r) & ~_np.isnan(a) & ~_np.isnan(b))
+        return _np.where(raises, _np.nan, r)
+
+    def _rotation_builtin(axis):
+        fallback = ns["rotation_" + axis]
+        # Row-major slots of cos, cos, sin, -sin and 1.0 in the matrix.
+        c1, c2, sin_slot, neg_sin_slot, one_slot = {
+            "x": (4, 8, 7, 5, 0),
+            "y": (0, 8, 2, 6, 4),
+            "z": (0, 4, 3, 1, 8),
+        }[axis]
+
+        def run(n, angle):
+            sincos = _native_sincos(n, angle)
+            if sincos is None:
+                return fallback(n, angle)
+            s, c, raises = sincos
+            out = _np.zeros((n, 9))
+            out[:, c1] = c
+            out[:, c2] = c
+            out[:, sin_slot] = s
+            out[:, neg_sin_slot] = -s
+            out[:, one_slot] = 1.0
+            out[raises] = _np.nan
+            return out
+
+        return run
+
+    def _rotate_builtin(axis):
+        fallback = ns["rotate_" + axis]
+
+        def run(n, v, angle):
+            sincos = _native_sincos(n, angle, _per_lane(v))
+            if sincos is None:
+                return fallback(n, v, angle)
+            s, c, raises = sincos
+            x, y, z = _vec3_cols(v, n)
+            with _np.errstate(invalid="ignore", over="ignore"):
+                if axis == "x":
+                    comps = (x, c * y - s * z, s * y + c * z)
+                elif axis == "y":
+                    comps = (c * x + s * z, y, -s * x + c * z)
+                else:
+                    comps = (c * x - s * y, s * x + c * y, z)
+            out = _stackk(n, 3, comps)
+            out[raises] = _np.nan
+            return out
+
+        return run
 
     overrides = {
         "sqrt": vb_sqrt,
@@ -460,11 +596,19 @@ def _make_vec_builtins():
         "mat_transpose": vb_mat_transpose,
         "mat_det": vb_mat_det,
         "mat_scale": vb_mat_scale,
-        "noise": vb_noise,
-        "snoise": vb_snoise,
-        "fbm": vb_fbm,
-        "turbulence": vb_turbulence,
+        "noise": _noise_builtin("noise", _noise_mod.noise3_array),
+        "snoise": _noise_builtin("snoise", _noise_mod.snoise3_array),
+        "fbm": _fractal_builtin("fbm", _noise_mod.fbm3_array),
+        "turbulence": _fractal_builtin(
+            "turbulence", _noise_mod.turbulence3_array
+        ),
+        "fmod": vb_fmod,
     }
+    for name in _NATIVE_LIBM:
+        overrides[name] = _native_or_lanewise(name, ns[name])
+    for axis in "xyz":
+        overrides["rotation_" + axis] = _rotation_builtin(axis)
+        overrides["rotate_" + axis] = _rotate_builtin(axis)
     ns.update(overrides)
     return ns
 

@@ -51,6 +51,7 @@ from ..obs.flight import FlightRecorder
 from ..obs.metrics import MS_BUCKETS
 from ..obs.schema import canonical_endpoint
 from ..obs.slo import SloTracker, default_service_objectives
+from ..runtime import native
 from ..runtime.faultinject import FaultInjector
 from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, SupervisorPolicy
@@ -759,6 +760,7 @@ class RenderService(object):
                 "store": self.store.stats(),
                 "recovery": self.recovery,
                 "pool": pool_health(),
+                "native_builtins": native.status(),
                 "flight": {
                     "recorded": self.flight.recorded,
                     "dropped": self.flight.dropped,
@@ -779,4 +781,5 @@ class RenderService(object):
         *are* refreshed per scrape (gauges are set, not added)."""
         if self.obs.enabled:
             self.slo.export(self.obs.registry)
+            native.export(self.obs.registry)
         return to_prometheus(self.obs.registry)

@@ -13,7 +13,9 @@ port of the classic algorithm: it is genuinely the most expensive primitive
 in the system, exactly the role it plays in the paper's workloads.
 
 Alongside the scalar port live ``*_array`` variants used by the batch
-execution backend.  They perform the identical IEEE-754 double
+execution backend on hosts without the native builtin library
+(:mod:`repro.runtime.native`, which compiles this same algorithm to C
+with the permutation table below).  They perform the identical IEEE-754 double
 operations in the identical order over whole lane arrays, so their
 results are bit-for-bit equal to the scalar functions (lanes whose
 inputs would make the scalar path raise — non-finite coordinates or

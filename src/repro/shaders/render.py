@@ -357,7 +357,7 @@ class EditSession(object):
             )
         else:
             _, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-        return self._frame_cost(lane_costs, n, None, "delta")
+        return self._frame_cost(lane_costs, None, "delta")
 
     def _refill_scalar(self, controls, dirty):
         """Per-pixel delta-loader sweep over the existing scalar caches
@@ -448,7 +448,7 @@ class EditSession(object):
 
         return hook
 
-    def _frame_cost(self, lane_costs, n, cap, phase):
+    def _frame_cost(self, lane_costs, cap, phase):
         """Exact frame total of one batch run's per-lane costs.
 
         Under a step ``cap`` the worst lane is checked first; the
@@ -458,7 +458,7 @@ class EditSession(object):
                 lane_costs, cap, "loader" if phase == "load" else "reader"
             )
         if self.obs.enabled:
-            self._observe_pixel_costs(phase, B.cost_rows(lane_costs, n))
+            self._observe_pixel_costs(phase, lane_costs)
         return B.cost_total(lane_costs)
 
     def _observe_pixel_costs(self, phase, costs):
@@ -472,8 +472,7 @@ class EditSession(object):
             shader=self.render_session.spec_info.name,
             partition=self.param, phase=phase,
         )
-        for cost in costs:
-            histogram.observe(cost)
+        histogram.observe_many(costs)
 
     def _record_frame(self, phase, image):
         """Per-request metrics once a frame was served."""
@@ -646,7 +645,7 @@ class EditSession(object):
         cache = self.specialization.new_batch_cache(n)
         kernel = self.specialization.batch_kernel("loader", cap)
         values, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-        total = self._frame_cost(lane_costs, n, cap, "load")
+        total = self._frame_cost(lane_costs, cap, "load")
         return color_column(values, n, cache.columns), cache, total
 
     def _adjust_batch(self, controls, cap=None):
@@ -670,7 +669,7 @@ class EditSession(object):
         values, lane_costs = kernel.run_lanes(
             columns, n, cache=self.caches
         )
-        total = self._frame_cost(lane_costs, n, cap, "adjust")
+        total = self._frame_cost(lane_costs, cap, "adjust")
         return color_column(values, n, self.caches.columns), total
 
     @staticmethod
@@ -718,7 +717,7 @@ class EditSession(object):
             phase="load",
             on_pool_incident=self._pool_incident_hook("load"),
         )
-        return colors, cache, self._frame_cost(lane_costs, n, None, "load")
+        return colors, cache, self._frame_cost(lane_costs, None, "load")
 
     def _adjust_batch_tiled(self, columns, n, cap, controls):
         """Reader sharded into tiles over contiguous frame-cache views.
@@ -743,7 +742,7 @@ class EditSession(object):
             partition=self.param, phase="adjust",
             on_pool_incident=self._pool_incident_hook("adjust"),
         )
-        return colors, self._frame_cost(lane_costs, n, None, "adjust")
+        return colors, self._frame_cost(lane_costs, None, "adjust")
 
     def _pool_incident_hook(self, phase):
         """Routes the executor's self-healing events (worker losses,

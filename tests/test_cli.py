@@ -286,9 +286,30 @@ class TestObservability:
         code, out = run_cli(["stats", "--format", "json"])
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
-        assert all(r["kind"] in ("metric", "span") for r in records)
-        assert any(r["name"] == "repro_cache_dead_slots" for r in records)
+        assert all(
+            r["kind"] in ("metric", "span", "native_builtins")
+            for r in records
+        )
+        assert any(r["name"] == "repro_cache_dead_slots"
+                   for r in records if r["kind"] == "metric")
         assert any(r["kind"] == "span" for r in records)
+        (native,) = [r for r in records if r["kind"] == "native_builtins"]
+        assert native["state"] in ("loaded", "fallback")
+        (gauge,) = [r for r in records
+                    if r.get("name") == "repro_native_builtins_loaded"]
+        assert gauge["value"] == (1 if native["state"] == "loaded" else 0)
+
+    def test_health_reports_native_builtins(self):
+        import json
+
+        code, out = run_cli(["health", "3", "--size", "4", "--drags", "1",
+                             "--json"])
+        assert code == 0
+        section = json.loads(out)["native_builtins"]
+        assert section["state"] in ("loaded", "fallback")
+        assert section["key"] or section["reason"]
+        code, out = run_cli(["health", "3", "--size", "4", "--drags", "1"])
+        assert code == 0 and "native builtins: " in out
 
     def test_stats_render_populates_runtime_counters(self):
         code, out = run_cli(["stats", "--render", "--size", "2"])

@@ -282,6 +282,12 @@ UNIFORM_CASES = [
     ("fmod", (float("inf"), 1.0)),
     ("rotation_y", (0.3,)),
     ("rotation_y", (float("nan"),)),
+    ("tan", (float("inf"),)),
+    ("exp", (710.0,)),
+    ("cos", (float("-inf"),)),
+    ("atan", (float("nan"), 1.0)),
+    ("rotation_x", (float("inf"),)),
+    ("rotate_y", ((1.0, -2.0, 0.5), float("inf"))),
 ]
 
 
@@ -290,7 +296,7 @@ def _scalar_lane(name, args):
     try:
         value = REGISTRY[name].fn(*args)
     except Exception:
-        value = (float("nan"),) * (9 if ty == "mat3" else 1)
+        value = (float("nan"),) * {"mat3": 9, "vec3": 3}.get(ty, 1)
     return value if isinstance(value, tuple) else (value,)
 
 
@@ -300,7 +306,9 @@ def test_uniform_lanewise_builtins_match_scalar(name, args):
 
     n = 5
     hoisted = VEC_BUILTINS[name](n, *args)
-    per_lane = VEC_BUILTINS[name](n, *[np.full(n, a) for a in args])
+    per_lane = VEC_BUILTINS[name](
+        n, *[np.full((n,) + np.shape(a), a) for a in args]
+    )
     assert hoisted.shape == per_lane.shape and len(hoisted) == n
     expected = [_scalar_lane(name, args)] * n
     assert _bits(hoisted.reshape(n, -1)) == _bits(expected)

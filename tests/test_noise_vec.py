@@ -2,20 +2,24 @@
 
 The batch backend's noise builtins (``snoise``/``noise``/``fbm``/
 ``turbulence``) are real array implementations, not lane-at-a-time
-wrappers; their contract is that every lane equals the scalar port's
-result **bit for bit** — same IEEE-754 double operations in the same
-order.  These tests sweep that contract with hypothesis, pin the
+wrappers: the native C loops (:mod:`repro.runtime.native`) where that
+library loads, the NumPy ``*_array`` mirrors elsewhere.  Their contract
+is that every lane equals the scalar port's result **bit for bit** —
+same IEEE-754 double operations in the same order.  These tests sweep
+that contract with hypothesis over both implementations, pin the
 domain edges (sign zeros, the 256 wrap seam, 2^52, 1e300), check the
 nonfinite-input convention (NaN lanes, matching the batch fallback's
 exception fill), and keep the no-NumPy fallback path honest.
 """
 
 import math
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.runtime import native
 from repro.shaders import noise
 from repro.shaders.sources import SHADERS
 
@@ -51,6 +55,39 @@ def _exact(scalar_value, array_value):
     )
 
 
+def _native_impl(loops):
+    """The native loops behind the ``*_array`` mirrors' signatures."""
+    np = noise._np
+
+    def block(x, y, z):
+        return np.ascontiguousarray(np.stack([x, y, z], axis=1),
+                                    dtype=np.float64)
+
+    def lattice(name):
+        return lambda x, y, z: loops.run(name, len(x), block(x, y, z))
+
+    def fractal(name):
+        def run(x, y, z, octaves, lacunarity=2.0, gain=0.5):
+            octs = np.ascontiguousarray(
+                np.broadcast_to(np.asarray(octaves, dtype=float), len(x)))
+            return loops.run(name, len(x), block(x, y, z), octs,
+                             params=(lacunarity, gain))
+
+        return run
+
+    return SimpleNamespace(
+        snoise3_array=lattice("snoise"), noise3_array=lattice("noise"),
+        fbm3_array=fractal("fbm"), turbulence3_array=fractal("turbulence"),
+    )
+
+
+def _impls():
+    """The array implementations under test: the NumPy mirrors, and the
+    native loops where the library loads."""
+    loops = native.library()
+    return [noise] + ([_native_impl(loops)] if loops is not None else [])
+
+
 def _columns(points):
     np = noise._np
     xs = np.asarray([p[0] for p in points], dtype=float)
@@ -75,10 +112,11 @@ def _assert_lanes_exact(scalar_fn, array_column, points, *extra):
                        min_size=1, max_size=32))
 def test_snoise_and_noise_bit_exact(points):
     xs, ys, zs = _columns(points)
-    _assert_lanes_exact(noise.snoise3, noise.snoise3_array(xs, ys, zs),
-                        points)
-    _assert_lanes_exact(noise.noise3, noise.noise3_array(xs, ys, zs),
-                        points)
+    for impl in _impls():
+        _assert_lanes_exact(noise.snoise3, impl.snoise3_array(xs, ys, zs),
+                            points)
+        _assert_lanes_exact(noise.noise3, impl.noise3_array(xs, ys, zs),
+                            points)
 
 
 @requires_numpy
@@ -92,13 +130,14 @@ def test_snoise_and_noise_bit_exact(points):
 )
 def test_fractal_noise_bit_exact(points, octaves, lacunarity, gain):
     xs, ys, zs = _columns(points)
-    for scalar_fn, array_fn in (
-        (noise.fbm3, noise.fbm3_array),
-        (noise.turbulence3, noise.turbulence3_array),
-    ):
-        column = array_fn(xs, ys, zs, octaves, lacunarity, gain)
-        _assert_lanes_exact(scalar_fn, column, points,
-                            octaves, lacunarity, gain)
+    for impl in _impls():
+        for scalar_fn, array_fn in (
+            (noise.fbm3, impl.fbm3_array),
+            (noise.turbulence3, impl.turbulence3_array),
+        ):
+            column = array_fn(xs, ys, zs, octaves, lacunarity, gain)
+            _assert_lanes_exact(scalar_fn, column, points,
+                                octaves, lacunarity, gain)
 
 
 @requires_numpy
@@ -116,12 +155,13 @@ def test_per_lane_octave_counts(points, octaves):
     points, octaves = points[:lanes], octaves[:lanes]
     np = noise._np
     xs, ys, zs = _columns(points)
-    column = noise.fbm3_array(
-        xs, ys, zs, np.asarray(octaves, dtype=float)
-    )
-    for lane, p in enumerate(points):
-        expect = noise.fbm3(p[0], p[1], p[2], octaves[lane])
-        assert _exact(expect, float(column[lane]))
+    for impl in _impls():
+        column = impl.fbm3_array(
+            xs, ys, zs, np.asarray(octaves, dtype=float)
+        )
+        for lane, p in enumerate(points):
+            expect = noise.fbm3(p[0], p[1], p[2], octaves[lane])
+            assert _exact(expect, float(column[lane]))
 
 
 @requires_numpy
@@ -132,14 +172,15 @@ def test_domain_edges_bit_exact():
         for (y, z) in zip(EDGES[3:] + EDGES[:3], EDGES[7:] + EDGES[:7])
     ]
     xs, ys, zs = _columns(points)
-    _assert_lanes_exact(noise.snoise3, noise.snoise3_array(xs, ys, zs),
-                        points)
-    for octaves in (1.0, 3.0, 4.7):
-        _assert_lanes_exact(
-            noise.turbulence3,
-            noise.turbulence3_array(xs, ys, zs, octaves),
-            points, octaves,
-        )
+    for impl in _impls():
+        _assert_lanes_exact(noise.snoise3, impl.snoise3_array(xs, ys, zs),
+                            points)
+        for octaves in (1.0, 3.0, 4.7):
+            _assert_lanes_exact(
+                noise.turbulence3,
+                impl.turbulence3_array(xs, ys, zs, octaves),
+                points, octaves,
+            )
 
 
 @requires_numpy
@@ -154,24 +195,46 @@ def test_nonfinite_lanes_fill_nan_without_contamination():
         (0.0, -inf, 1.0), (nan, 1.0, 2.0), (-2.25, 0.125, 9.0),
     ]
     xs, ys, zs = _columns(points)
-    for column in (
-        noise.snoise3_array(xs, ys, zs),
-        noise.noise3_array(xs, ys, zs),
-        noise.fbm3_array(xs, ys, zs, 3.0),
-        noise.turbulence3_array(xs, ys, zs, 2.0),
-    ):
-        assert np.isnan(column[[1, 3, 4]]).all()
-        for lane in (0, 2, 5):
-            assert not math.isnan(float(column[lane]))
-    p = points[0]
-    assert _exact(noise.snoise3(*p), float(noise.snoise3_array(xs, ys, zs)[0]))
+    for impl in _impls():
+        for column in (
+            impl.snoise3_array(xs, ys, zs),
+            impl.noise3_array(xs, ys, zs),
+            impl.fbm3_array(xs, ys, zs, 3.0),
+            impl.turbulence3_array(xs, ys, zs, 2.0),
+        ):
+            assert np.isnan(column[[1, 3, 4]]).all()
+            for lane in (0, 2, 5):
+                assert not math.isnan(float(column[lane]))
+        p = points[0]
+        assert _exact(noise.snoise3(*p),
+                      float(impl.snoise3_array(xs, ys, zs)[0]))
 
 
 @requires_numpy
-def test_vec_builtin_overrides_bit_exact():
+def test_coordinates_overflowing_mid_octave_fill_nan():
+    """Finite coordinates that double to inf before the last octave make
+    the scalar fractal raise, so those lanes are NaN; one octave less
+    and the same lane is finite and exact."""
+    points = [(1e308, 0.5, 0.5), (0.5, -1.5e308, 2.0), (0.1, 0.2, 0.3)]
+    xs, ys, zs = _columns(points)
+    for impl in _impls():
+        for scalar_fn, array_fn in (
+            (noise.fbm3, impl.fbm3_array),
+            (noise.turbulence3, impl.turbulence3_array),
+        ):
+            column = array_fn(xs, ys, zs, 2.0)
+            assert [math.isnan(float(v)) for v in column] == [
+                True, True, False]
+            _assert_lanes_exact(scalar_fn, array_fn(xs, ys, zs, 1.0),
+                                points, 1.0)
+
+
+@requires_numpy
+def test_vec_builtin_overrides_bit_exact(monkeypatch):
     """Through the compiler's builtin namespace: vec3 columns arrive as
     (n, 3) arrays or uniform tuples, octave counts as arrays or
-    uniform scalars — every combination must stay bit-exact."""
+    uniform scalars — every combination must stay bit-exact, on the
+    NumPy mirrors and (where the library loads) the native loops."""
     from repro.runtime.vecops import VEC_BUILTINS
 
     np = noise._np
@@ -182,29 +245,34 @@ def test_vec_builtin_overrides_bit_exact():
     uniform = (1.25, -2.5, 255.75)
     octs = np.asarray([1.0 + (i % 5) for i in range(24)], dtype=float)
 
-    for name, scalar_fn in (
-        ("noise", noise.noise3), ("snoise", noise.snoise3),
-    ):
-        column = VEC_BUILTINS[name](len(pts), arr)
-        _assert_lanes_exact(scalar_fn, column, pts)
-        flat = VEC_BUILTINS[name](4, uniform)
-        assert all(
-            _exact(scalar_fn(*uniform), float(v)) for v in flat
-        )
-
-    for name, scalar_fn in (
-        ("fbm", noise.fbm3), ("turbulence", noise.turbulence3),
-    ):
-        column = VEC_BUILTINS[name](len(pts), arr, octs)
-        for lane, p in enumerate(pts):
-            assert _exact(
-                scalar_fn(p[0], p[1], p[2], float(octs[lane])),
-                float(column[lane]),
+    tiers = [native.NativeBuiltins.disabled()]
+    if native.library() is not None:
+        tiers.append(native.TIER)
+    for tier in tiers:
+        monkeypatch.setattr(native, "TIER", tier)
+        for name, scalar_fn in (
+            ("noise", noise.noise3), ("snoise", noise.snoise3),
+        ):
+            column = VEC_BUILTINS[name](len(pts), arr)
+            _assert_lanes_exact(scalar_fn, column, pts)
+            flat = VEC_BUILTINS[name](4, uniform)
+            assert all(
+                _exact(scalar_fn(*uniform), float(v)) for v in flat
             )
-        flat = VEC_BUILTINS[name](4, uniform, 3.0)
-        assert all(
-            _exact(scalar_fn(*uniform, 3.0), float(v)) for v in flat
-        )
+
+        for name, scalar_fn in (
+            ("fbm", noise.fbm3), ("turbulence", noise.turbulence3),
+        ):
+            column = VEC_BUILTINS[name](len(pts), arr, octs)
+            for lane, p in enumerate(pts):
+                assert _exact(
+                    scalar_fn(p[0], p[1], p[2], float(octs[lane])),
+                    float(column[lane]),
+                )
+            flat = VEC_BUILTINS[name](4, uniform, 3.0)
+            assert all(
+                _exact(scalar_fn(*uniform, 3.0), float(v)) for v in flat
+            )
 
 
 @pytest.mark.parametrize("index", [3, 5])

@@ -123,6 +123,33 @@ def test_histogram_cumulative_buckets():
     assert h.cumulative() == [(10, 1), (100, 2), (float("inf"), 3)]
 
 
+def _observed(values, many, buckets):
+    h = MetricsRegistry().histogram("steps", buckets=buckets).labels()
+    if many:
+        h.observe_many(values)
+    else:
+        for value in values:
+            h.observe(value)
+    return h.counts, h.sum, h.count
+
+
+@pytest.mark.parametrize("buckets", [(10, 100), (5, 10, 25, 1000), (0,)])
+def test_observe_many_matches_observe_on_every_bound(buckets):
+    """Values equal to each bound, either side of it, and far past the
+    last one: identical bucket counts, exact sums and counts."""
+    ints = [b + d for b in buckets for d in (-1, 0, 1)] + [0, 10 ** 6]
+    floats = [b + d for b in buckets for d in (-0.5, 0.0, 0.25)] + [
+        float("inf"), 0.1, 0.2, 0.3]
+    np = pytest.importorskip("numpy")
+    for values in (ints, floats, [], [7], [2 ** 62, 2 ** 62, 3]):
+        want = _observed(values, False, buckets)
+        for given in (values, np.asarray(values)):
+            got = _observed(given, True, buckets)
+            assert got == want and type(got[1]) is type(want[1])
+    nan = _observed([float("nan"), 1.0], True, buckets)
+    assert nan[0] == _observed([float("nan"), 1.0], False, buckets)[0]
+
+
 def test_family_registration_idempotent_and_conflicts():
     registry = MetricsRegistry()
     a = registry.counter("x_total", "X.", ("shader",))
@@ -140,6 +167,7 @@ def test_family_registration_idempotent_and_conflicts():
 def test_null_registry_absorbs_everything():
     assert NULL_REGISTRY.counter("a_total") is _NULL_INSTRUMENT
     NULL_REGISTRY.histogram("h").labels(x=1).observe(5)
+    NULL_REGISTRY.histogram("h").labels(x=1).observe_many([5, 6])
     assert NULL_REGISTRY.collect() == []
     assert NULL_REGISTRY.as_dict() == {}
 

@@ -503,10 +503,13 @@ class TestHTTP:
         assert health["service"]["store"]["builds"] == 1
         assert "t" in health["tenants"]
         assert health["tenants"]["t"]["requests"] == 1
+        native = health["service"]["native_builtins"]
+        assert native["state"] in ("loaded", "fallback", "unbuilt")
         text = client.metrics()
         assert "repro_serve_requests_total" in text
         assert 'endpoint="render"' in text
         assert "repro_serve_request_ms" in text
+        assert "repro_native_builtins_loaded " in text
         listing = client.sessions()["sessions"]
         assert [entry["session"] for entry in listing] == [sid]
 
@@ -527,6 +530,7 @@ class TestHealthCLI:
         assert "sessions: 1/" in out
         assert "tenant t:" in out
         assert "requests served" in out  # same HealthSnapshot text
+        assert "native builtins: " in out
         code, out = self.run_cli(
             ["health", "--url", client.base_url, "--json"]
         )

@@ -10,6 +10,7 @@ default) must cost no more than ``MAX_DISABLED_OVERHEAD`` over a
 second untraced run.
 """
 
+import gc
 import time
 
 import pytest
@@ -32,7 +33,13 @@ MAX_DISABLED_OVERHEAD = 0.25
 
 
 def _drag(backend, obs=None, **knobs):
-    """One full pipeline run: ``(signature, obs, wall_seconds)``."""
+    """One full pipeline run: ``(signature, obs, wall_seconds)``.
+
+    A full collection first: otherwise a generation-2 pass (~60 ms,
+    a third of a drag) lands in whichever drag the earlier tests'
+    allocations happen to put it, and the timings compare GC phase
+    rather than the traced and untraced paths."""
+    gc.collect()
     start = time.perf_counter()
     session = RenderSession(SHADER, width=SIZE, height=SIZE,
                             backend=backend, obs=obs, **knobs)
