@@ -10,9 +10,19 @@ with something a later frame writes in place — a cache column, a scene
 geometry column, a shared-memory segment, a tile view — are copied on
 adoption (:func:`color_column`), so a frame already returned never
 changes.
+
+Wire form (:meth:`ColorColumn.to_wire` / :meth:`ColorColumn.from_wire`):
+the colours as row-major little-endian float64 bytes in base64, so a
+frame crosses HTTP bit for bit (NaN sign and payload included) without
+a decimal float per component.
 """
 
 from __future__ import annotations
+
+import array
+import base64
+import binascii
+import sys
 
 from .vecops import _column_rows
 
@@ -20,6 +30,9 @@ try:
     import numpy as _np
 except ImportError:  # pragma: no cover - NumPy-less installs
     _np = None
+
+#: The one dtype the wire form carries: little-endian float64.
+WIRE_DTYPE = "<f8"
 
 
 class ColorColumn(object):
@@ -75,6 +88,65 @@ class ColorColumn(object):
         if _np is None:
             return [list(row) for row in self._data]
         return self._data.tolist()
+
+    def to_wire(self):
+        """``{"dtype": "<f8", "shape": [n, 3], "b64": ...}``: the
+        colours' row-major little-endian float64 bytes in base64."""
+        if _np is None:
+            raw = array.array("d", (c for row in self._data for c in row))
+            if sys.byteorder == "big":
+                raw.byteswap()
+            raw = raw.tobytes()
+        else:
+            raw = self._data.astype(WIRE_DTYPE, copy=False).tobytes()
+        return {
+            "dtype": WIRE_DTYPE,
+            "shape": [len(self), 3],
+            "b64": base64.b64encode(raw).decode("ascii"),
+        }
+
+    @classmethod
+    def from_wire(cls, wire):
+        """The column :meth:`to_wire` encoded, bit for bit.  With NumPy
+        (on a little-endian host) the column is a read-only view of the
+        decoded bytes, so ``np.asarray`` on it copies nothing.  Raises
+        :class:`ValueError` on a malformed payload."""
+        if not isinstance(wire, dict):
+            raise ValueError("colour payload must be an object, not %s"
+                             % type(wire).__name__)
+        if wire.get("dtype") != WIRE_DTYPE:
+            raise ValueError("colour payload dtype must be %r, got %r"
+                             % (WIRE_DTYPE, wire.get("dtype")))
+        shape = wire.get("shape")
+        if (
+            not isinstance(shape, list) or len(shape) != 2
+            or shape[1] != 3 or type(shape[0]) is not int or shape[0] < 0
+        ):
+            raise ValueError("colour payload shape must be [n, 3], got %r"
+                             % (shape,))
+        text = wire.get("b64")
+        if not isinstance(text, str):
+            raise ValueError("colour payload has no base64 text")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except binascii.Error as err:
+            raise ValueError("colour payload is not base64: %s" % err)
+        n = shape[0]
+        if len(raw) != n * 3 * 8:
+            raise ValueError(
+                "colour payload has %d bytes, shape [%d, 3] needs %d"
+                % (len(raw), n, n * 3 * 8)
+            )
+        if _np is None:
+            values = array.array("d")
+            values.frombytes(raw)
+            if sys.byteorder == "big":
+                values.byteswap()
+            return cls(tuple(
+                tuple(values[k:k + 3]) for k in range(0, 3 * n, 3)
+            ))
+        data = _np.frombuffer(raw, dtype=WIRE_DTYPE).reshape(n, 3)
+        return cls(data.astype(_np.float64, copy=False))
 
     def __array__(self, dtype=None, copy=None):
         data = self._data

@@ -6,6 +6,11 @@ in :mod:`repro.serve.http`.  Responses with status >= 400 raise
 :class:`ClientError` carrying the decoded error payload and, for 429
 and 503, the service's ``retry_after_s`` hint — callers implementing
 backoff use the hint instead of inventing their own schedule.
+
+Every request asks for :data:`~repro.serve.http.FRAME_MEDIA_TYPE`, so a
+render reply's ``colors`` arrive as float64 bytes and decode into a
+read-only :class:`~repro.runtime.colors.ColorColumn`, bit for bit the
+daemon's frame; a malformed one raises :class:`ClientError`.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+
+from ..runtime.colors import ColorColumn
+from .http import FRAME_MEDIA_TYPE
 
 
 class ClientError(Exception):
@@ -47,13 +55,14 @@ class ServiceClient(object):
 
     def request(self, method, path, body=None, headers=None):
         """One round-trip; returns ``(status, payload, headers)``.
-        ``payload`` is the decoded JSON object (or raw text for
-        non-JSON responses like ``/metrics``).  Extra ``headers``
+        ``payload`` is the decoded JSON object, with a render reply's
+        ``colors`` as a :class:`ColorColumn` (or raw text for non-JSON
+        responses like ``/metrics``).  Extra ``headers``
         (e.g. ``X-Repro-Request-Id`` for trace correlation) merge over
         the defaults.  Raises :class:`ClientError` on status >= 400."""
         data = None
         extra_headers = dict(headers or {})
-        headers = {}
+        headers = {"Accept": FRAME_MEDIA_TYPE}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -69,23 +78,33 @@ class ServiceClient(object):
             ) as response:
                 return (
                     response.status,
-                    self._decode(response.read(),
-                                 response.headers.get("Content-Type")),
+                    self._decode(response.status, response.read(),
+                                 response.headers),
                     dict(response.headers),
                 )
         except urllib.error.HTTPError as err:
-            payload = self._decode(
-                err.read(), err.headers.get("Content-Type")
-            )
+            payload = self._decode(err.code, err.read(), err.headers)
             raise ClientError(err.code, payload, headers=dict(err.headers))
         except urllib.error.URLError as err:
             raise ClientError(0, {}, "cannot reach %s: %s"
                               % (self.base_url, err.reason))
 
     @staticmethod
-    def _decode(raw, content_type):
+    def _decode(status, raw, headers):
         text = raw.decode("utf-8", "replace")
-        if content_type and "json" in content_type:
+        content_type = headers.get("Content-Type") or ""
+        if content_type.split(";")[0].strip() == FRAME_MEDIA_TYPE:
+            try:
+                payload = json.loads(text)
+                payload["colors"] = ColorColumn.from_wire(payload["colors"])
+            except (ValueError, TypeError, KeyError) as err:
+                raise ClientError(
+                    status, {"error": "malformed_frame"},
+                    "malformed frame reply: %s" % err,
+                    headers=headers,
+                )
+            return payload
+        if "json" in content_type:
             try:
                 return json.loads(text)
             except ValueError:

@@ -21,6 +21,16 @@ The tenant comes from the request body (``tenant``) or the
 (``{"error", "detail"}``); 429/503 responses additionally carry the
 seeded-jitter ``Retry-After`` header and ``retry_after_s`` field.
 
+A render reply's ``colors`` are encoded by ``Accept`` negotiation
+(:func:`encode_reply`): a client that ranks :data:`FRAME_MEDIA_TYPE`
+above ``application/json`` gets them as base64 little-endian float64
+bytes (:meth:`~repro.runtime.colors.ColorColumn.to_wire`), bit exact
+and without a decimal float per component; any other ``Accept`` gets
+per-pixel ``[r, g, b]`` lists in ``application/json``.  Replies
+without colours, errors included, are ``application/json`` either way.
+The body is encoded inside the ``serve.request`` span, so the recorded
+request time includes it.
+
 Every response — errors and sheds included — carries an
 ``X-Repro-Request-Id`` header: the inbound header's value when the
 client sent one, a freshly minted id otherwise.  The id is bound to
@@ -47,7 +57,61 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..lang.errors import SpecializationError
 from ..obs.trace import request_context
+from ..runtime.colors import ColorColumn
 from .service import RenderService, ServiceError
+
+#: The ``Accept`` media type for replies whose ``colors`` are one
+#: :meth:`~repro.runtime.colors.ColorColumn.to_wire` object.
+FRAME_MEDIA_TYPE = "application/vnd.repro.frame+json"
+JSON_MEDIA_TYPE = "application/json"
+TEXT_MEDIA_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
+def prefers_frame(accept):
+    """True when an ``Accept`` header value ranks
+    :data:`FRAME_MEDIA_TYPE` strictly above ``application/json``; each
+    type takes the quality of its most specific matching range."""
+    quality = {}
+    for item in (accept or "").split(","):
+        media, *params = item.split(";")
+        value = 1.0
+        for param in params:
+            name, _, text = param.partition("=")
+            if name.strip().lower() == "q":
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = 0.0
+        quality[media.strip().lower()] = value
+
+    def rank(media_type):
+        for media in (media_type, "application/*", "*/*"):
+            if media in quality:
+                return quality[media]
+        return 0.0
+
+    return rank(FRAME_MEDIA_TYPE) > rank(JSON_MEDIA_TYPE)
+
+
+def encode_reply(payload, frame=False):
+    """``(body, content_type)`` for one reply payload: text as is, a
+    dict as sorted-key JSON.  A :class:`ColorColumn` under ``colors``
+    becomes its wire object when ``frame`` (and the reply is
+    :data:`FRAME_MEDIA_TYPE`), per-pixel lists otherwise."""
+    if isinstance(payload, str):
+        return payload.encode("utf-8"), TEXT_MEDIA_TYPE
+    content_type = JSON_MEDIA_TYPE
+    colors = payload.get("colors")
+    if isinstance(colors, ColorColumn):
+        if frame:
+            payload = dict(payload, colors=colors.to_wire())
+            content_type = FRAME_MEDIA_TYPE
+        else:
+            # The same bytes as a per-component float() encoding:
+            # tolist() gives Python floats with identical reprs.
+            payload = dict(payload, colors=colors.tolist())
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    return body, content_type
 
 
 class ServiceServer(ThreadingHTTPServer):
@@ -62,6 +126,9 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body leave in two writes; with Nagle on, a keep-alive
+    # client waits a delayed ACK (~40 ms) for the body of every reply.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the service's own metrics are the access log
@@ -86,6 +153,7 @@ class _Handler(BaseHTTPRequestHandler):
             or service.mint_request_id()
         )
         mark = service.span_mark()
+        frame = prefers_frame(self.headers.get("Accept"))
         with request_context(rid):
             with service.obs.span(
                 "serve.request", method=method,
@@ -109,6 +177,7 @@ class _Handler(BaseHTTPRequestHandler):
                     status = 500
                     payload = {"error": "internal", "detail": str(err)}
                     headers = {}
+                body, content_type = encode_reply(payload, frame)
                 span.set(endpoint=endpoint, status=status)
             extra = {}
             if isinstance(payload, dict):
@@ -123,10 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         headers = dict(headers or {})
         headers["X-Repro-Request-Id"] = rid
-        if isinstance(payload, str):
-            self._send_text(status, payload, headers)
-        else:
-            self._send_json(status, payload, headers)
+        self._send(status, body, content_type, headers)
 
     def _route(self, method, service):
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
@@ -195,17 +261,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return payload, headers
 
-    def _send_json(self, status, payload, headers=None):
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._send(status, body, "application/json", headers)
-
-    def _send_text(self, status, text, headers=None):
-        self._send(
-            status, text.encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8", headers,
-        )
-
-    def _send(self, status, body, content_type, headers=None):
+    def _send(self, status, body, content_type, headers):
         try:
             self.send_response(status)
             self.send_header("Content-Type", content_type)

@@ -183,11 +183,14 @@ class Admission(object):
     """
 
     def __init__(self, max_inflight, tenant_inflight=None,
-                 retry_after_s=0.5, seed=0):
+                 retry_after_s=0.5, seed=0, gauge=None):
         self.max_inflight = max_inflight
         self.tenant_inflight = tenant_inflight
         self.retry_after_s = retry_after_s
         self.seed = seed
+        #: Set to ``inflight`` under the lock on every admit/release,
+        #: so it always shows the count the last change left.
+        self.gauge = gauge
         self._lock = threading.Lock()
         self.inflight = 0
         self.by_tenant = {}
@@ -215,6 +218,7 @@ class Admission(object):
                 )
             self.inflight += 1
             self.by_tenant[tenant] = held + 1
+            self._publish()
         return _Permit(self, tenant)
 
     def release(self, tenant):
@@ -225,6 +229,12 @@ class Admission(object):
                 self.by_tenant.pop(tenant, None)
             else:
                 self.by_tenant[tenant] = held
+            self._publish()
+
+    def _publish(self):
+        # Caller holds self._lock.
+        if self.gauge is not None:
+            self.gauge.set(self.inflight)
 
     def shed_now(self, scope, detail):
         """Record a shed decided by the service (session caps, drain)
@@ -308,10 +318,6 @@ class RenderService(object):
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
         self.store = ArtifactStore(config.store_dir)
-        self.admission = Admission(
-            config.max_inflight, config.tenant_inflight,
-            retry_after_s=config.retry_after_s, seed=config.seed,
-        )
         #: The warm fork pool (``runtime/parallel._POOL``) is process-
         #: global with per-connection dispatch state, so *pooled* frame
         #: renders from different sessions must not interleave: with
@@ -366,6 +372,11 @@ class RenderService(object):
         self._m_inflight = registry.gauge(
             "repro_serve_inflight",
             "Render requests currently in flight.",
+        )
+        self.admission = Admission(
+            config.max_inflight, config.tenant_inflight,
+            retry_after_s=config.retry_after_s, seed=config.seed,
+            gauge=self._m_inflight,
         )
         self._m_sessions = registry.gauge(
             "repro_serve_sessions",
@@ -536,19 +547,14 @@ class RenderService(object):
         except LoadShedError as err:
             self._m_shed.inc(scope=err.scope)
             raise
-        with permit:
-            self._m_inflight.set(self.admission.inflight)
-            try:
-                with contextlib.ExitStack() as stack:
-                    if self._pool_mutex is not None:
-                        stack.enter_context(self._pool_mutex)
-                    stack.enter_context(hosted.lock)
-                    hosted.last_used = self.clock()
-                    payload = self._render_locked(hosted, param, controls)
-                    hosted.last_used = self.clock()
-                    return payload
-            finally:
-                self._m_inflight.set(self.admission.inflight - 1)
+        with permit, contextlib.ExitStack() as stack:
+            if self._pool_mutex is not None:
+                stack.enter_context(self._pool_mutex)
+            stack.enter_context(hosted.lock)
+            hosted.last_used = self.clock()
+            payload = self._render_locked(hosted, param, controls)
+            hosted.last_used = self.clock()
+            return payload
 
     def _render_locked(self, hosted, param, controls):
         session = hosted.session
@@ -568,9 +574,9 @@ class RenderService(object):
             "height": image.height,
             "cost": image.total_cost,
             "cost_per_pixel": image.cost_per_pixel,
-            # Same JSON bytes as per-component float(): tolist() yields
-            # Python floats with identical reprs (NaN and -0.0 too).
-            "colors": image.colors.tolist(),
+            # The frame's own read-only column: the transport picks the
+            # encoding (repro.serve.http.encode_reply).
+            "colors": image.colors,
         }
 
     def _ensure_edit(self, hosted, param):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 from repro.core.specializer import DataSpecializer, SpecializerOptions
 from repro.lang.parser import parse_program
@@ -96,3 +97,24 @@ def per_pixel_scene(kind, width, height):
             I = V.vnormalize(V.vsub(P, eye))
             pixels.append((x, y, u, v, P, N, I))
     return pixels
+
+
+#: IEEE bit patterns the binary frame wire must keep: NaNs of either
+#: sign with payloads (quiet and signalling), signed zeros, infinities,
+#: subnormals and ordinary values; 15 floats, so 5 pixels.
+SPECIAL_FLOAT_BITS = (
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+    0xFFF00000DEADBEEF, 0x7FFFFFFFFFFFFFFF, 0xFFF4000000000123,
+    0x8000000000000000, 0x0000000000000000, 0x7FF0000000000000,
+    0xFFF0000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+    0x3FF0000000000000, 0xBFB999999999999A, 0x7FEFFFFFFFFFFFFF,
+)
+
+
+def special_float_rows():
+    """:data:`SPECIAL_FLOAT_BITS` as ``(r, g, b)`` rows of floats."""
+    values = [
+        struct.unpack("<d", struct.pack("<Q", bits))[0]
+        for bits in SPECIAL_FLOAT_BITS
+    ]
+    return [tuple(values[k:k + 3]) for k in range(0, len(values), 3)]

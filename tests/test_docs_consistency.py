@@ -104,3 +104,20 @@ class TestModuleReferences:
                 assert name in example_tests, (
                     "%s has no test in test_examples.py" % name
                 )
+
+
+class TestServeWire:
+    def test_documented_frame_media_type_is_the_served_one(self):
+        """Every ``application/vnd.repro.*`` media type the docs and the
+        skill notes name is the one ``repro.serve.http`` negotiates."""
+        from repro.serve.http import FRAME_MEDIA_TYPE
+
+        paths = [
+            os.path.join(REPO, "docs", "operations.md"),
+            os.path.join(REPO, "docs", "performance.md"),
+            os.path.join(REPO, ".claude", "skills", "verify", "SKILL.md"),
+        ]
+        for path in paths:
+            named = set(re.findall(r"application/vnd\.repro\.[\w.+-]+",
+                                   read(path)))
+            assert named == {FRAME_MEDIA_TYPE}, (path, named)

@@ -4,7 +4,8 @@
 * the :class:`ColorColumn` contract (list behaviour, read-only,
   zero-copy ``np.asarray``) and its ownership rule (a returned frame
   never changes, whatever the session renders next);
-* the daemon's JSON reply keeps its exact bytes;
+* the daemon's JSON reply keeps its exact bytes, and the binary wire
+  form (:meth:`ColorColumn.to_wire`) round-trips every bit pattern;
 * uniform-argument builtins hoisted out of the lane loop keep parity;
 * empty frames are rejected with a typed error.
 """
@@ -29,7 +30,11 @@ from repro.shaders import render as R
 from repro.shaders.render import RenderSession
 from repro.shaders.scenes import sphere_scene, wall_scene
 from repro.shaders.sources import SHADERS
-from tests.helpers import per_pixel_scene
+from tests.helpers import (
+    SPECIAL_FLOAT_BITS,
+    per_pixel_scene,
+    special_float_rows,
+)
 
 np = pytest.importorskip("numpy")
 
@@ -232,9 +237,11 @@ def _old_encoding(colors):
 def test_reply_json_bytes_match_per_component_float(index, tmp_path,
                                                     monkeypatch):
     """One frame per shader, with a NaN lane and a -0.0 lane planted,
-    encodes to exactly the bytes the per-component ``float()`` encoding
-    gave (the HTTP layer's ``json.dumps(sort_keys=True)``)."""
+    encodes for the default ``Accept`` to exactly the bytes the
+    per-component ``float()`` encoding gave (the HTTP layer's
+    :func:`~repro.serve.http.encode_reply`)."""
     from repro.serve import RenderService, ServiceConfig
+    from repro.serve.http import encode_reply
 
     served = []
     real_load = R.EditSession.load
@@ -258,11 +265,68 @@ def test_reply_json_bytes_match_per_component_float(index, tmp_path,
     payload = service.render(sid)
     service.close_session(sid)
     (image,) = served
-    assert isinstance(payload["colors"], list)
+    assert payload["colors"] is image.colors
     expected = dict(payload, colors=_old_encoding(image.colors))
-    got_bytes = json.dumps(payload, sort_keys=True)
-    assert got_bytes == json.dumps(expected, sort_keys=True)
-    assert "NaN" in got_bytes and "-0.0" in got_bytes
+    got_bytes, content_type = encode_reply(payload)
+    assert content_type == "application/json"
+    assert got_bytes == (
+        json.dumps(expected, sort_keys=True) + "\n"
+    ).encode("utf-8")
+    assert b"NaN" in got_bytes and b"-0.0" in got_bytes
+
+
+#: :data:`SPECIAL_FLOAT_BITS` per pixel, the shape :func:`_bits` gives.
+SPECIAL_PIXEL_BITS = [
+    list(SPECIAL_FLOAT_BITS[k:k + 3])
+    for k in range(0, len(SPECIAL_FLOAT_BITS), 3)
+]
+
+
+def test_wire_round_trip_is_bit_exact_and_zero_copy():
+    rows = special_float_rows()
+    column = ColorColumn.from_rows(rows)
+    assert _bits(column) == SPECIAL_PIXEL_BITS
+    wire = json.loads(json.dumps(column.to_wire()))
+    assert wire["dtype"] == "<f8" and wire["shape"] == [len(rows), 3]
+    back = ColorColumn.from_wire(wire)
+    assert _bits(back) == _bits(column)
+    data = np.asarray(back)
+    assert np.asarray(back) is data and not data.flags.writeable
+    assert np.asarray(back, dtype=np.float64) is data
+
+
+def test_wire_encoding_without_numpy_gives_the_same_bytes(monkeypatch):
+    """The tuple-backed column (no NumPy) encodes to the same wire
+    object and decodes back to the same bit patterns."""
+    from repro.runtime import colors as C
+
+    rows = special_float_rows()
+    want = ColorColumn.from_rows(rows).to_wire()
+    monkeypatch.setattr(C, "_np", None)
+    column = C.ColorColumn.from_rows(rows)
+    assert column.to_wire() == want
+    back = C.ColorColumn.from_wire(want)
+    assert isinstance(back._data, tuple)
+    assert _bits(list(back)) == SPECIAL_PIXEL_BITS
+    assert C.ColorColumn.from_wire(C.ColorColumn([]).to_wire()) == []
+
+
+@pytest.mark.parametrize("wire, match", [
+    ({"dtype": "<f4", "shape": [1, 3], "b64": "AAAA"}, "dtype"),
+    ({"dtype": ">f8", "shape": [0, 3], "b64": ""}, "dtype"),
+    ({"shape": [0, 3], "b64": ""}, "dtype"),
+    ([], "object"),
+    ({"dtype": "<f8", "shape": [1, 4], "b64": ""}, "shape"),
+    ({"dtype": "<f8", "shape": [-1, 3], "b64": ""}, "shape"),
+    ({"dtype": "<f8", "shape": [1.0, 3], "b64": ""}, "shape"),
+    ({"dtype": "<f8", "shape": [1, 3]}, "base64"),
+    ({"dtype": "<f8", "shape": [1, 3], "b64": "not base64!"}, "base64"),
+    ({"dtype": "<f8", "shape": [1, 3], "b64": "AAAA"}, "bytes"),
+    ({"dtype": "<f8", "shape": [0, 3], "b64": "AAAA"}, "bytes"),
+])
+def test_malformed_wire_raises_value_error(wire, match):
+    with pytest.raises(ValueError, match=match):
+        ColorColumn.from_wire(wire)
 
 
 # -- uniform builtins hoisted out of the lane loop ---------------------------

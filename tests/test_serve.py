@@ -15,12 +15,14 @@ Covers the tentpole's robustness contract at every layer:
 """
 
 import glob
+import http.client
 import io
 import json
 import os
 import random
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -45,9 +47,16 @@ from repro.serve import (
     start_server,
 )
 from repro.serve.client import ClientError
+from repro.runtime.colors import ColorColumn
+from repro.serve.http import FRAME_MEDIA_TYPE, encode_reply
+from repro.shaders import render as R
 from repro.shaders.render import RenderSession
 
-from tests.helpers import specialize_source
+from tests.helpers import (
+    SPECIAL_FLOAT_BITS,
+    special_float_rows,
+    specialize_source,
+)
 
 
 DOTPROD = """
@@ -274,7 +283,7 @@ class TestServiceLifecycle:
         got.append(service.render(sid, controls={param: 0.75}))
         assert got[0]["phase"] == "load"
         assert got[1]["phase"] == "adjust"
-        assert [g["colors"] for g in got] == expected
+        assert [g["colors"].tolist() for g in got] == expected
 
     def test_tenants_share_one_store_build(self, tmp_path):
         service = RenderService(service_config(tmp_path), obs=False)
@@ -290,8 +299,10 @@ class TestServiceLifecycle:
         service = RenderService(service_config(tmp_path), obs=False)
         sid = service.create_session("t", SHADER, SIZE, SIZE)["session"]
         payload = service.render(sid)
-        again = json.loads(json.dumps(payload))
-        assert again["colors"] == payload["colors"]
+        body, content_type = encode_reply(payload)
+        assert content_type == "application/json"
+        again = json.loads(body)
+        assert again["colors"] == payload["colors"].tolist()
 
     def test_per_tenant_supervisors_are_isolated(self, tmp_path):
         service = RenderService(service_config(tmp_path), obs=False)
@@ -364,6 +375,42 @@ class TestServiceLifecycle:
         assert service.drain() == first  # second call: cached summary
         assert not service.store.lock_files()
 
+    def test_inflight_gauge_ends_at_zero(self, tmp_path, monkeypatch):
+        """Two renders that finish together: the gauge must show the
+        count their releases left, not a count read before them."""
+        service = RenderService(service_config(tmp_path), obs=True)
+        sids = [
+            service.create_session("t", SHADER, SIZE, SIZE)["session"]
+            for _ in range(2)
+        ]
+        barrier = threading.Barrier(2, timeout=30.0)
+        real_release = Admission.release
+
+        def release(self, tenant):
+            barrier.wait()
+            real_release(self, tenant)
+
+        monkeypatch.setattr(Admission, "release", release)
+        errors = []
+
+        def render(sid):
+            try:
+                service.render(sid)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=render, args=(sid,)) for sid in sids
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert service.admission.inflight == 0
+        assert service.obs.registry.value("repro_serve_inflight") == 0
+
     def test_shed_scopes_reach_health(self, tmp_path):
         service = RenderService(
             service_config(tmp_path, max_inflight=0), obs=False
@@ -433,7 +480,8 @@ class TestHTTP:
         load = client.render(sid, param=param)
         adjust = client.render(sid, controls={param: 2.0})
         assert load["phase"] == "load" and adjust["phase"] == "adjust"
-        assert [load["colors"], adjust["colors"]] == expected
+        got = [load["colors"].tolist(), adjust["colors"].tolist()]
+        assert got == expected
         assert client.close(sid)["closed"]
 
     def test_shed_returns_429_with_retry_after(self, http_service):
@@ -512,6 +560,183 @@ class TestHTTP:
         assert "repro_native_builtins_loaded " in text
         listing = client.sessions()["sessions"]
         assert [entry["session"] for entry in listing] == [sid]
+
+
+def plant_special_frames(monkeypatch):
+    """Make every load return its frame with :func:`special_float_rows`
+    over the first pixels; returns the list the served images go to."""
+    np = pytest.importorskip("numpy")
+    served = []
+    real_load = R.EditSession.load
+
+    def load(self, controls):
+        image = real_load(self, controls)
+        array = np.array(image.colors)
+        rows = special_float_rows()
+        array[:len(rows)] = rows
+        image = R.Image(image.width, image.height, ColorColumn(array),
+                        image.total_cost)
+        served.append(image)
+        return image
+
+    monkeypatch.setattr(R.EditSession, "load", load)
+    return served
+
+
+class TestFrameWire:
+    """Colours over real HTTP: float64 bytes for the frame ``Accept``
+    (what :class:`ServiceClient` sends), unchanged JSON otherwise."""
+
+    def test_frame_reply_is_bit_exact(self, http_service, monkeypatch):
+        np = pytest.importorskip("numpy")
+        served = plant_special_frames(monkeypatch)
+        _, client = http_service
+        sid = client.create_session(SHADER, SIZE, SIZE)["session"]
+        status, payload, headers = client.request(
+            "POST", "/sessions/%s/render" % sid, {}
+        )
+        assert status == 200
+        assert headers["Content-Type"] == FRAME_MEDIA_TYPE
+        (image,) = served
+        colors = payload["colors"]
+        assert isinstance(colors, ColorColumn)
+        data = np.asarray(colors)
+        assert np.asarray(colors) is data and not data.flags.writeable
+        bits = data.view(np.uint64)
+        assert bits.tolist() == np.asarray(image.colors).view(
+            np.uint64
+        ).tolist()
+        assert bits[:5].reshape(-1).tolist() == list(SPECIAL_FLOAT_BITS)
+
+    @pytest.mark.parametrize("accept", [
+        None, "application/json", "*/*", FRAME_MEDIA_TYPE + ";q=0",
+        "application/json, " + FRAME_MEDIA_TYPE,
+    ])
+    def test_other_accepts_keep_json_bytes(self, http_service, monkeypatch,
+                                           accept):
+        served = plant_special_frames(monkeypatch)
+        payloads = []
+        real_render = RenderService.render
+
+        def render(self, *args, **kwargs):
+            payloads.append(real_render(self, *args, **kwargs))
+            return payloads[-1]
+
+        monkeypatch.setattr(RenderService, "render", render)
+        _, client = http_service
+        sid = client.create_session(SHADER, SIZE, SIZE)["session"]
+        headers = {"Content-Type": "application/json"}
+        if accept is not None:
+            headers["Accept"] = accept
+        request = urllib.request.Request(
+            client.base_url + "/sessions/%s/render" % sid,
+            data=b"{}", method="POST", headers=headers,
+        )
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            body = response.read()
+            content_type = response.headers["Content-Type"]
+        (image,), (payload,) = served, payloads
+        expected = dict(payload, colors=frame_colors(image))
+        assert content_type == "application/json"
+        assert body == (
+            json.dumps(expected, sort_keys=True) + "\n"
+        ).encode("utf-8")
+
+    def test_errors_under_frame_accept_are_json(self, http_service):
+        service, client = http_service
+        sid = client.create_session(SHADER, SIZE, SIZE)["session"]
+        with pytest.raises(ClientError) as missing:
+            client.render("s999999")
+        permits = [service.admission.admit("hog") for _ in range(4)]
+        try:
+            with pytest.raises(ClientError) as shed:
+                client.render(sid)
+        finally:
+            for permit in permits:
+                permit.__exit__(None, None, None)
+        service.drain(timeout_s=0.1)
+        with pytest.raises(ClientError) as draining:
+            client.render(sid)
+        got = [
+            (err.value.status, err.value.code,
+             err.value.headers["Content-Type"])
+            for err in (missing, shed, draining)
+        ]
+        assert got == [
+            (404, "session_not_found", "application/json"),
+            (429, "load_shed", "application/json"),
+            (503, "draining", "application/json"),
+        ]
+
+    @pytest.mark.parametrize("breakage", ["byte_count", "dtype", "base64"])
+    def test_malformed_frame_is_a_client_error(self, http_service,
+                                               monkeypatch, breakage):
+        real_to_wire = ColorColumn.to_wire
+
+        def to_wire(self):
+            wire = real_to_wire(self)
+            if breakage == "byte_count":
+                wire["shape"] = [wire["shape"][0] + 1, 3]
+            elif breakage == "dtype":
+                wire["dtype"] = "<f4"
+            else:
+                wire["b64"] = "!!" + wire["b64"][2:]
+            return wire
+
+        monkeypatch.setattr(ColorColumn, "to_wire", to_wire)
+        _, client = http_service
+        sid = client.create_session(SHADER, SIZE, SIZE)["session"]
+        with pytest.raises(ClientError) as err:
+            client.render(sid)
+        assert not isinstance(err.value, ValueError)
+        assert err.value.status == 200
+        assert err.value.code == "malformed_frame"
+
+    def test_keep_alive_round_trips_do_not_stall(self, http_service):
+        """Over one persistent connection a reply must not wait for a
+        delayed ACK (Nagle holds the body behind the headers)."""
+        _, client = http_service
+        host, port = client.base_url.rsplit("//", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port),
+                                                timeout=10.0)
+        took = []
+        try:
+            for _ in range(5):
+                started = time.perf_counter()
+                connection.request("GET", "/sessions")
+                response = connection.getresponse()
+                response.read()
+                took.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            connection.close()
+        assert statistics.median(took) < 0.020, took
+
+    def test_reply_encoding_counts_as_request_time(self, http_service,
+                                                   monkeypatch):
+        from repro.serve import http as H
+
+        service, client = http_service
+        sid = client.create_session(SHADER, SIZE, SIZE)["session"]
+        real_encode = H.encode_reply
+
+        def slow_encode(payload, frame=False):
+            if isinstance(payload, dict) and "colors" in payload:
+                time.sleep(0.3)
+            return real_encode(payload, frame)
+
+        monkeypatch.setattr(H, "encode_reply", slow_encode)
+        client.request("POST", "/sessions/%s/render" % sid, {},
+                       headers={"X-Repro-Request-Id": "slow-encode"})
+        (entry,) = [
+            e for e in service.flight.entries()
+            if e["request_id"] == "slow-encode"
+        ]
+        assert entry["ms"] >= 300.0
+        total, count = service.obs.registry.value(
+            "repro_serve_request_ms", endpoint="render"
+        )
+        assert count == 1 and total >= 300.0
 
 
 class TestHealthCLI:

@@ -114,10 +114,10 @@ def _drive_session(url, shader, tenant, references, errors):
     try:
         client = ServiceClient(url, timeout_s=60.0, tenant=tenant)
         sid = client.create_session(shader, WIDTH, HEIGHT)["session"]
-        frames = [client.render(sid, param=param)["colors"]]
+        frames = [client.render(sid, param=param)["colors"].tolist()]
         for value in values:
             frames.append(
-                client.render(sid, controls={param: value})["colors"]
+                client.render(sid, controls={param: value})["colors"].tolist()
             )
         if frames != expected:
             errors.append("shader %d: frames differ from in-process"
