@@ -187,8 +187,8 @@ def animate(shader_index=DEFAULT_SHADER, param=DEFAULT_PARAM,
                     inc_frame.total_cost, full_frame.total_cost,
                 )
             )
-    inc_edit.close()
-    full_edit.close()
+    inc_session.close()
+    full_session.close()
     return AnimationTrace(
         shader_index, param, seed, frames, inc_seconds, full_seconds
     )

@@ -421,6 +421,7 @@ def cmd_render(args, out):
         with open(args.out, "w") as handle:
             handle.write(adjusted.to_ppm())
         out.write("wrote %s\n" % args.out)
+    session.close()
     return 0
 
 
@@ -556,6 +557,7 @@ def cmd_health(args, out):
         for line in snapshot.summary().splitlines():
             out.write("  %s\n" % line)
         out.write("  %s\n" % native.summary(native_section))
+    session.close()
     return 0
 
 
@@ -588,46 +590,28 @@ def cmd_serve(args, out):
 
 def _drive_local_service(shader, size, requests, slow_ms=None):
     """Stand up an in-process RenderService on a throwaway store and
-    drive ``requests`` render requests through the same request-id /
-    span-mark / observe plumbing the HTTP layer uses, so the SLO
-    tracker and flight recorder populate exactly as they would under a
-    daemon.  Returns ``(service, store_dir)`` — callers drain and
-    remove the store."""
+    drive ``requests`` render requests through the HTTP layer's own
+    request path (:func:`repro.serve.http.serve_request`), so the SLO
+    tracker and flight recorder count exactly what a daemon counts,
+    reply encoding included.  Returns ``(service, store_dir)`` —
+    callers drain and remove the store."""
     import tempfile
-    import time
 
-    from .obs.trace import request_context
     from .serve import RenderService, ServiceConfig
-    from .serve.service import ServiceError
+    from .serve.http import serve_request
 
     kwargs = {}
     if slow_ms is not None:
         kwargs["flight_slow_ms"] = slow_ms
     store_dir = tempfile.mkdtemp(prefix="repro-slo-")
     service = RenderService(ServiceConfig(store_dir=store_dir, **kwargs))
-    created = service.create_session("cli", shader, size, size)
-    sid = created["session"]
+    sid = service.create_session("cli", shader, size, size)["session"]
     for _ in range(requests):
-        rid = service.mint_request_id()
-        mark = service.span_mark()
-        started = time.monotonic()
-        status, body = 200, {}
-        with request_context(rid):
-            with service.obs.span(
-                "serve.request", method="POST",
-                path="/sessions/%s/render" % sid,
-            ) as span:
-                try:
-                    body = service.render(sid)
-                except ServiceError as err:
-                    status = err.status
-                span.set(endpoint="render", status=status)
-            service.observe(
-                "render", status, (time.monotonic() - started) * 1000.0,
-                request_id=rid, tenant="cli", span_mark=mark,
-                session=sid, rung=body.get("rung"),
-                phase=body.get("phase"),
-            )
+        serve_request(
+            service, "POST", "/sessions/%s/render" % sid,
+            lambda: ("render", 200, service.render(sid), {}),
+            tenant="cli",
+        )
     return service, store_dir
 
 
@@ -808,6 +792,7 @@ def cmd_trace(args, out):
     if args.out:
         write_chrome_trace(args.out, obs.tracer, obs.registry)
         out.write("wrote %s\n" % args.out)
+    session.close()
     return 0
 
 
@@ -838,6 +823,7 @@ def cmd_stats(args, out):
                 record_delta_metrics(
                     obs.registry, spec, session.spec_info.name, param
                 )
+        session.close()
     obs.merge_stage_metrics()
     native_section = native.report()
     native.export(obs.registry)

@@ -24,7 +24,7 @@ BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
 PHASES = ("load", "adjust")
 
 #: Process-level worker-loss kinds the self-healing pool reports
-#: (``pool_health()["lost_workers"]``, ``worker_<kind>`` incidents).
+#: (``WorkerPool.health()["lost_workers"]``, ``worker_<kind>`` incidents).
 POOL_FAULT_KINDS = ("crash", "hang", "garbled", "pipe")
 
 #: Non-ladder incident scopes ``canonical_rung`` accepts alongside the

@@ -595,8 +595,8 @@ class ShmArena(object):
 
     Lifecycle: the creator owns the segment name and unlinks it on
     :meth:`release` (idempotent; also wired to a GC finalizer and the
-    ``shutdown_pools`` atexit sweep, so no segment outlives the
-    process).  Attached (worker-side) arenas only ever close their
+    :func:`~repro.runtime.lifecycle.cleanup_now` sweep, so no segment
+    outlives the process).  Attached (worker-side) arenas only ever close their
     mapping.
     """
 

@@ -2,7 +2,7 @@
 
 The worker-pool and shared-memory subsystems sweep themselves at clean
 interpreter exit (``atexit`` → :func:`~repro.runtime.parallel
-.shutdown_pools` + :func:`~repro.runtime.batch.release_all_arenas`).
+.close_open_pools`; each arena's own finalizer).
 A daemon killed with SIGTERM/SIGINT never reaches ``atexit``: warm
 workers are orphaned and ``repro_shm_*`` segments leak until the next
 startup recovery.  This module closes that gap:
@@ -57,9 +57,10 @@ def remove_shutdown_hook(hook):
 
 def cleanup_now():
     """Drain hooks (each once), then the idempotent resource sweeps:
-    stop warm worker pools, unlink every live shared-memory arena, and
-    reclaim segments orphaned by dead processes.  Returns the number of
-    cleanup sweeps completed so far (including this one)."""
+    stop every worker pool no owner closed, unlink every live
+    shared-memory arena, and reclaim segments orphaned by dead
+    processes.  Returns the number of cleanup sweeps completed so far
+    (including this one)."""
     global cleanups
     with _LOCK:
         hooks, _DRAIN_HOOKS[:] = list(_DRAIN_HOOKS), []
@@ -69,11 +70,12 @@ def cleanup_now():
         except Exception:  # a failing drain must not block the sweeps
             pass
     # Imported lazily so importing lifecycle never drags in NumPy/shm.
-    from .batch import release_all_arenas
-    from .parallel import shutdown_pools
+    from .batch import reclaim_orphaned_segments, release_all_arenas
+    from .parallel import close_open_pools
 
-    shutdown_pools()
+    close_open_pools()
     release_all_arenas()
+    reclaim_orphaned_segments()
     with _LOCK:
         cleanups += 1
         return cleanups

@@ -47,7 +47,7 @@ the rest of the frame stays on the fast path) or, with no hook, raises
 check did.  Degraded tiles are zeroed out of the shared frame columns
 before commit, so shm frames splice byte-identically to serial ones.
 
-Self-healing (PR 7): the pool survives *process-level* faults.  Replies
+Self-healing: the pool survives *process-level* faults.  Replies
 are waited on with ``Connection.poll`` under a per-chunk wall deadline
 (:class:`PoolPolicy`), with ``Process.is_alive``/exitcode liveness
 checks, so a crashed (``kill -9``, OOM) worker is distinguished from a
@@ -55,12 +55,19 @@ hung one and surfaced as a typed :class:`WorkerLostError`.  A lost
 worker's tiles are re-dispatched to surviving warm workers, then to an
 in-process fallback, so the frame still completes byte-identically;
 the worker is respawned under a bounded, seeded-backoff restart budget.
-Budget exhaustion trips a per-pool breaker (:class:`PoolBreaker`) that
+Budget exhaustion stops the workers and trips the pool's breaker (the
+supervisor's :class:`~repro.runtime.supervise.CircuitBreaker`), which
 degrades subsequent frames to the serial transport until a half-open
-probe refills the pool.  Kernels that repeatedly kill their
-workers are quarantined to the serial path, and shm segments orphaned
-by crashed children are reclaimed (:func:`~repro.runtime.batch
-.reclaim_orphaned_segments`).  :func:`pool_health` reports all of it.
+probe forks a fresh set.  Kernels that repeatedly kill their workers
+are quarantined to the serial path, and shm segments orphaned by
+crashed children are reclaimed when the pool closes.
+
+Ownership: all of that state lives on one :class:`WorkerPool` object,
+owned by the session or service that builds it and handed to each
+:class:`TileExecutor`.  The owner closes it (:meth:`WorkerPool.close`);
+:meth:`WorkerPool.health` reports it.  The only module-level state is
+a weak registry of pools with live workers, which the exit and signal
+sweep (:func:`close_open_pools`) stops when no owner did.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ import os
 import random
 import statistics
 import time
+import weakref
 from collections import deque
 
 from ..lang.errors import DeadlineError
@@ -79,6 +87,7 @@ from ..obs import NULL_OBS
 from . import batch as B
 from . import native
 from .colors import join_colors
+from .supervise import HALF_OPEN, CircuitBreaker
 
 #: Default lanes per tile.  Sized so one tile's SoA columns (~10 slots x
 #: 8 bytes x lanes) stay within a typical L2 slice while still amortizing
@@ -214,9 +223,10 @@ class PoolPolicy(object):
       runs; exceeding it degrades the pool and trips the breaker.
     * ``backoff_base_ms`` / ``backoff_cap_ms`` — seeded exponential
       respawn backoff (base 0 disables sleeping, the test default).
-    * ``breaker_cooldown`` / ``breaker_cooldown_cap`` — pooled runs the
-      breaker stays open before a half-open probe; doubles (with seeded
-      jitter) on every re-trip, capped.
+    * ``breaker_cooldown`` / ``breaker_cooldown_cap`` — shm-eligible
+      runs the breaker stays open before a half-open probe; doubles on
+      every re-trip up to the cap, plus seeded jitter of up to
+      :attr:`probe_jitter` of that again.
     * ``quarantine_threshold`` — worker losses charged to one kernel
       token before that kernel is routed to the serial transport.
     """
@@ -225,6 +235,9 @@ class PoolPolicy(object):
                  "restart_window", "backoff_base_ms", "backoff_cap_ms",
                  "breaker_cooldown", "breaker_cooldown_cap",
                  "quarantine_threshold", "seed")
+
+    #: The pool breaker's jitter fraction (fixed, not a knob).
+    probe_jitter = 0.5
 
     def __init__(self, deadline_ms=30000.0, poll_interval_ms=20.0,
                  max_restarts=3, restart_window=16,
@@ -254,157 +267,11 @@ class PoolPolicy(object):
 #: Worker-loss kinds (mirrored in ``obs.schema.POOL_FAULT_KINDS``).
 FAULT_KINDS = ("crash", "hang", "garbled", "pipe")
 
-#: Incident ring capacity in :class:`PoolHealth`.
-MAX_POOL_INCIDENTS = 256
+#: Incident ring capacity per :class:`WorkerPool`.
+MAX_INCIDENTS = 256
 
 #: Most recent respawn-latency samples kept for the median.
 _MAX_RESPAWN_SAMPLES = 512
-
-
-class PoolHealth(object):
-    """Process-wide self-healing telemetry, surfaced by
-    :func:`pool_health` and the supervisor's ``health()["pool"]``."""
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.restarts = 0
-        self.redispatched_tiles = 0
-        self.inline_tiles = 0
-        self.lost_workers = dict.fromkeys(FAULT_KINDS, 0)
-        self.degraded_runs = 0
-        self.quarantine_routed = 0
-        self.reclaimed_segments = 0
-        self.reclaimed_bytes = 0
-        self.respawn_ms = deque(maxlen=_MAX_RESPAWN_SAMPLES)
-        self.incidents = deque(maxlen=MAX_POOL_INCIDENTS)
-        self.incidents_dropped = 0
-        self._seq = itertools.count(1)
-
-    def record(self, kind, worker=None, detail=""):
-        if len(self.incidents) == self.incidents.maxlen:
-            self.incidents_dropped += 1
-        self.incidents.append({
-            "seq": next(self._seq), "kind": kind,
-            "worker": worker, "detail": detail,
-        })
-
-    def note_respawn(self, ms):
-        self.restarts += 1
-        self.respawn_ms.append(ms)
-
-
-POOL_HEALTH = PoolHealth()
-
-
-class PoolBreaker(object):
-    """Per-pool circuit breaker over the fork transport.
-
-    Run-counted like the supervisor's :class:`~repro.runtime.supervise
-    .CircuitBreaker` (no wall clock, so replays are deterministic):
-    while open, pooled runs degrade to serial; after ``cooldown``
-    shm-eligible runs a half-open probe forks a fresh pool, closing on
-    success and re-opening (with doubled, seeded-jittered cooldown) if
-    the probe's pool blows its budget too.
-    """
-
-    def __init__(self):
-        self.reset()
-
-    def reset(self):
-        self.state = "closed"
-        self.runs = 0
-        self.trips = 0
-        self.reopens = 0
-        self.cooldown = None
-        self.probe_at = None
-
-    def allow_fork(self, policy):
-        """Advance breaker time by one shm-eligible run; True when the
-        run may use the fork pool (closed, or a half-open probe)."""
-        self.runs += 1
-        if self.state == "open" and self.runs >= self.probe_at:
-            self.state = "half_open"
-        return self.state != "open"
-
-    def trip(self, policy):
-        if self.state == "half_open":
-            self.reopens += 1
-        self.state = "open"
-        self.trips += 1
-        base = policy.breaker_cooldown * (2 ** self.reopens)
-        rng = random.Random("%r|poolbreaker|%d" % (policy.seed, self.trips))
-        jittered = base * (1.0 + rng.random() * 0.5)
-        self.cooldown = max(
-            1, min(int(round(jittered)), policy.breaker_cooldown_cap)
-        )
-        self.probe_at = self.runs + self.cooldown
-
-    def close(self):
-        if self.state == "half_open":
-            self.state = "closed"
-            self.reopens = 0
-            self.cooldown = None
-            self.probe_at = None
-
-    def as_dict(self):
-        return {
-            "state": self.state, "trips": self.trips,
-            "reopens": self.reopens, "cooldown": self.cooldown,
-            "probe_at": self.probe_at, "runs": self.runs,
-        }
-
-
-_BREAKER = PoolBreaker()
-
-#: Worker losses charged per kernel token, and the poison-token set of
-#: kernels routed to the serial transport (tentpole hygiene step).
-_KERNEL_STRIKES = {}
-_QUARANTINE = {}
-
-
-def pool_health():
-    """Self-healing state for ``repro health`` and ``/health``: loss,
-    redispatch, respawn, quarantine, breaker, and reclamation counters
-    plus the recent incident ring."""
-    health = POOL_HEALTH
-    alive = 0
-    if _POOL is not None:
-        alive = sum(1 for w in range(_POOL.workers) if _POOL.alive(w))
-    return {
-        "workers": {
-            "configured": _POOL.workers if _POOL is not None else 0,
-            "alive": alive,
-        },
-        "runs": _POOL.runs if _POOL is not None else 0,
-        "restarts": health.restarts,
-        "redispatched_tiles": health.redispatched_tiles,
-        "inline_tiles": health.inline_tiles,
-        "lost_workers": dict(health.lost_workers),
-        "degraded_runs": health.degraded_runs,
-        "quarantined": sorted(_QUARANTINE.values()),
-        "quarantine_routed": health.quarantine_routed,
-        "reclaimed_segments": health.reclaimed_segments,
-        "reclaimed_bytes": health.reclaimed_bytes,
-        "respawn_ms_median": (
-            statistics.median(health.respawn_ms)
-            if health.respawn_ms else None
-        ),
-        "respawn_samples": len(health.respawn_ms),
-        "breaker": _BREAKER.as_dict(),
-        "incidents": list(health.incidents),
-        "incidents_dropped": health.incidents_dropped,
-        "shm_resident_bytes": B.shm_resident_bytes(),
-    }
-
-
-def reset_pool_state():
-    """Forget breaker/quarantine/health state (tests)."""
-    POOL_HEALTH.reset()
-    _BREAKER.reset()
-    _KERNEL_STRIKES.clear()
-    _QUARANTINE.clear()
 
 
 def _fork_available():
@@ -542,32 +409,123 @@ def _worker_main(conn):
     conn.close()
 
 
+#: Pools with forked workers in this process (weak): the exit and
+#: signal sweep (:func:`close_open_pools`) stops the ones no owner closed.
+_FORKED = weakref.WeakSet()
+
+
+def _stop_workers(procs, conns, owner_pid):
+    """Stop one pool's workers: sentinel, then TERM, then KILL, each
+    with a bounded join, so no child outlives its pool.  A forked child
+    that inherited these handles leaves them alone."""
+    if os.getpid() != owner_pid:
+        return
+    for conn in conns:
+        try:
+            conn.send(None)
+        except (BrokenPipeError, OSError):
+            pass
+    for proc in procs:
+        proc.join(timeout=2)
+        if proc.is_alive():  # pragma: no cover - stuck worker
+            proc.terminate()
+            proc.join(timeout=2)
+        if proc.is_alive():  # pragma: no cover - unkillable via TERM
+            # TERM can be absorbed by a worker stuck in uninterruptible
+            # state; escalate to SIGKILL so no live child is stranded.
+            proc.kill()
+            proc.join(timeout=2)
+    for conn in conns:
+        conn.close()
+    del procs[:], conns[:]
+
+
 class WorkerPool(object):
-    """N persistent forked workers, each on its own duplex pipe.
+    """N persistent forked workers, each on its own duplex pipe, and
+    everything the pool knows about them.
 
     Unlike ``multiprocessing.Pool``, chunks are addressed to a
     *specific* worker — that is what makes warm per-worker kernel state
     possible: the parent tracks which kernel tokens each worker has
     installed (:meth:`installed`) and ships the heavy kernel spec only
     on a worker's first use of a kernel.
+
+    The pool also owns its self-healing state: the :class:`PoolPolicy`,
+    the circuit breaker, per-kernel loss strikes and the quarantine
+    set, and the counters and incident ring :meth:`health` reports.
+    Nothing forks until the first pooled run (:meth:`start`).
+    :meth:`close` — or a restart budget running out — stops only the
+    processes; the next pooled run forks a fresh set on this object.
     """
 
-    def __init__(self, workers):
+    def __init__(self, workers, policy=None):
         import multiprocessing
 
         self._ctx = multiprocessing.get_context("fork")
-        self.workers = workers
+        self.workers = resolve_workers(workers)
+        self.policy = policy if policy is not None else PoolPolicy()
         #: Pooled runs served; the restart budget and breaker count in
         #: run ordinals, not wall time, so replays are deterministic.
         self.runs = 0
+        #: Open while the fork transport is degraded; its time is
+        #: shm-eligible runs, so serial-only runs never advance it.
+        self.breaker = CircuitBreaker("pool", self.policy)
+        #: Worker losses charged per kernel token, and the poison
+        #: tokens (-> kernel name) routed to the serial transport.
+        self.strikes = {}
+        self.quarantine = {}
+        self.counts = dict.fromkeys((
+            "restarts", "redispatched_tiles", "inline_tiles",
+            "degraded_runs", "quarantine_routed", "reclaimed_segments",
+            "reclaimed_bytes",
+        ), 0)
+        self.lost_workers = dict.fromkeys(FAULT_KINDS, 0)
+        self.respawn_ms = deque(maxlen=_MAX_RESPAWN_SAMPLES)
+        self.incidents = deque(maxlen=MAX_INCIDENTS)
+        self.incidents_dropped = 0
+        self._seq = itertools.count(1)
         self._restart_log = deque()
-        self._installed = [set() for _ in range(workers)]
+        self._installed = []
         self._procs = []
         self._conns = []
-        for _ in range(workers):
+        self._finalizer = None
+
+    # -- processes -----------------------------------------------------------
+
+    def start(self):
+        """Fork the workers unless they are running: the first pooled
+        run, or the first after the processes were stopped."""
+        if self._procs:
+            return
+        self._restart_log.clear()
+        self._installed = [set() for _ in range(self.workers)]
+        for _ in range(self.workers):
             proc, conn = self._spawn()
             self._procs.append(proc)
             self._conns.append(conn)
+        # A pool dropped unclosed still stops its workers when collected.
+        self._finalizer = weakref.finalize(
+            self, _stop_workers, self._procs, self._conns, os.getpid()
+        )
+        _FORKED.add(self)
+
+    def _stop(self):
+        if self._finalizer is not None:
+            self._finalizer()
+        _FORKED.discard(self)
+
+    def close(self):
+        """Stop the workers and reclaim shm segments crashed children
+        orphaned.  Breaker, quarantine and health survive.  Idempotent."""
+        self._stop()
+        segments, nbytes = B.reclaim_orphaned_segments()
+        if segments:
+            self.counts["reclaimed_segments"] += segments
+            self.counts["reclaimed_bytes"] += nbytes
+            self.record(
+                "shm_reclaim",
+                detail="%d segment(s), %d bytes" % (segments, nbytes),
+            )
 
     def _spawn(self):
         # Resolve the native builtin tier before forking so the worker
@@ -668,90 +626,130 @@ class WorkerPool(object):
         self._installed[worker] = set()
         return (time.perf_counter() - started) * 1000.0
 
-    def respawn_budget_ok(self, policy):
-        """True while this pool may still respawn workers: fewer than
-        ``max_restarts`` respawns in the last ``restart_window`` runs."""
+    # -- self-healing --------------------------------------------------------
+
+    def record(self, kind, worker=None, detail=""):
+        """Append one incident to the bounded ring."""
+        if len(self.incidents) == self.incidents.maxlen:
+            self.incidents_dropped += 1
+        self.incidents.append({
+            "seq": next(self._seq), "kind": kind,
+            "worker": worker, "detail": detail,
+        })
+
+    def note_respawn(self, ms):
+        self.counts["restarts"] += 1
+        self.respawn_ms.append(ms)
+        self._restart_log.append(self.runs)
+
+    def note_loss(self, worker, exc, token, kernel, hook):
+        """Bookkeeping for one lost worker: make sure the process is
+        really dead (hung/garbled workers get SIGKILL), record the
+        typed incident, and charge the kernel's quarantine strike."""
+        self.ensure_dead(worker)
+        self.lost_workers[exc.kind] = self.lost_workers.get(exc.kind, 0) + 1
+        self.record("worker_" + exc.kind, worker=worker, detail=str(exc))
+        if hook is not None:
+            hook("worker_" + exc.kind, str(exc))
+        strikes = self.strikes.get(token, 0) + 1
+        self.strikes[token] = strikes
+        if (
+            strikes >= self.policy.quarantine_threshold
+            and token not in self.quarantine
+        ):
+            name = getattr(kernel.fn, "name", None) or repr(kernel.fn)
+            self.quarantine[token] = name
+            self.record(
+                "quarantine", worker=worker,
+                detail="kernel %s after %d worker losses" % (name, strikes),
+            )
+            if hook is not None:
+                hook("quarantine", "kernel %s -> serial transport" % name)
+
+    def heal(self, lost, hook, recovery):
+        """Respawn lost workers under the restart budget: at most
+        ``max_restarts`` respawns per ``restart_window`` pooled runs.
+        Exhausting it degrades the pool (processes stopped, breaker
+        tripped) instead of thrashing forever on a host that keeps
+        killing children."""
+        policy = self.policy
         horizon = self.runs - policy.restart_window
         while self._restart_log and self._restart_log[0] <= horizon:
             self._restart_log.popleft()
-        return len(self._restart_log) < policy.max_restarts
+        for worker in sorted(lost):
+            if not self._procs:
+                return
+            if len(self._restart_log) >= policy.max_restarts:
+                detail = (
+                    "restart budget exhausted (>%d respawn(s) in %d runs)"
+                    % (policy.max_restarts, policy.restart_window)
+                )
+                self.record("pool_degraded", detail=detail)
+                if hook is not None:
+                    hook("pool_degraded", detail)
+                self.breaker.trip()
+                self._stop()
+                return
+            self._backoff(worker)
+            ms = self.respawn(worker)
+            self.note_respawn(ms)
+            recovery["respawns"] += 1
+            recovery.setdefault("respawn_ms", []).append(ms)
+            self.record("respawn", worker=worker, detail="%.1f ms" % ms)
+            if hook is not None:
+                hook(
+                    "respawn",
+                    "worker %d respawned in %.1f ms" % (worker, ms),
+                )
 
-    def note_restart(self):
-        self._restart_log.append(self.runs)
-
-    def shutdown(self):
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=2)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=2)
-        for proc in self._procs:
-            if proc.is_alive():  # pragma: no cover - unkillable via TERM
-                # Satellite fix: TERM can be absorbed by a worker stuck
-                # in uninterruptible state; escalate to SIGKILL so
-                # shutdown never strands a live child.
-                proc.kill()
-                proc.join(timeout=2)
-        for conn in self._conns:
-            conn.close()
-        self._procs = []
-        self._conns = []
-        self._installed = [set() for _ in range(self.workers)]
-
-
-#: The single persistent fork pool (rebuilt when ``workers=`` changes).
-_POOL = None
-
-
-def _get_pool(workers):
-    """The persistent fork pool, torn down and rebuilt when the worker
-    count changes between runs (stale pools would pin memory and hold
-    kernel state for a topology no session uses anymore)."""
-    global _POOL
-    if _POOL is not None and _POOL.workers != workers:
-        _POOL.shutdown()
-        _POOL = None
-    if _POOL is None:
-        # Note the order: _POOL is still None while the children fork,
-        # so a worker's inherited globals never reference a live pool.
-        _POOL = WorkerPool(workers)
-    return _POOL
-
-
-def _discard_pool():
-    """Forget a broken pool so the next run forks a fresh one."""
-    global _POOL
-    if _POOL is not None:
-        pool, _POOL = _POOL, None
-        pool.shutdown()
-
-
-def shutdown_pools():
-    """Stop the persistent worker pool, unlink every live
-    shared-memory segment, and reclaim any segment a crashed child
-    orphaned (tests, interpreter exit).  Breaker and quarantine state
-    is pool-scoped, so it resets with the pool."""
-    _discard_pool()
-    B.release_all_arenas()
-    segments, nbytes = B.reclaim_orphaned_segments()
-    if segments:
-        POOL_HEALTH.reclaimed_segments += segments
-        POOL_HEALTH.reclaimed_bytes += nbytes
-        POOL_HEALTH.record(
-            "shm_reclaim",
-            detail="%d segment(s), %d bytes" % (segments, nbytes),
+    def _backoff(self, worker):
+        """Seeded exponential backoff before a respawn (deterministic
+        per (seed, worker, run); disabled at the 0 ms default)."""
+        policy = self.policy
+        if policy.backoff_base_ms <= 0:
+            return
+        rng = random.Random(
+            "%r|respawn|%d|%d" % (policy.seed, worker, self.runs)
         )
-    _BREAKER.reset()
-    _KERNEL_STRIKES.clear()
-    _QUARANTINE.clear()
+        delay_ms = min(
+            policy.backoff_base_ms * (2 ** len(self._restart_log)),
+            policy.backoff_cap_ms,
+        ) * (0.5 + rng.random())
+        time.sleep(delay_ms / 1000.0)
+
+    def health(self):
+        """Self-healing state for ``repro health`` and ``/health``: loss,
+        redispatch, respawn, quarantine, breaker, and reclamation
+        counters plus the recent incident ring."""
+        return dict(
+            self.counts,
+            workers={
+                "configured": self.workers,
+                "alive": sum(1 for proc in self._procs if proc.is_alive()),
+            },
+            runs=self.runs,
+            lost_workers=dict(self.lost_workers),
+            quarantined=sorted(self.quarantine.values()),
+            respawn_ms_median=(
+                statistics.median(self.respawn_ms)
+                if self.respawn_ms else None
+            ),
+            respawn_samples=len(self.respawn_ms),
+            breaker=self.breaker.as_dict(),
+            incidents=list(self.incidents),
+            incidents_dropped=self.incidents_dropped,
+            shm_resident_bytes=B.shm_resident_bytes(),
+        )
 
 
-atexit.register(shutdown_pools)
+def close_open_pools():
+    """Stop every pool that still has live workers (interpreter exit,
+    :func:`repro.runtime.lifecycle.cleanup_now`)."""
+    for pool in list(_FORKED):
+        pool.close()
+
+
+atexit.register(close_open_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,14 +1027,19 @@ class TileExecutor(object):
     rebuilt copies across frames.  The executor also owns the session's
     shared-memory blocks: uploaded argument columns (memoized by column
     identity — geometry uploads once per session, not per frame) and
-    the reusable result arena.
+    the reusable result arena.  The :class:`WorkerPool` it is handed
+    belongs to its owner; without one every run is serial.
     """
 
-    def __init__(self, workers=1, tile=None, policy=None, injector=None):
+    def __init__(self, workers=1, tile=None, pool=None, injector=None):
         self.workers = resolve_workers(workers)
         self.tile = resolve_tile(tile)
-        #: Self-healing knobs (deadlines, restart budget, quarantine).
-        self.policy = policy if policy is not None else PoolPolicy()
+        if pool is not None and pool.workers != self.workers:
+            raise ValueError(
+                "a %d-worker executor was handed a %d-worker pool"
+                % (self.workers, pool.workers)
+            )
+        self.pool = pool
         #: Optional :class:`~repro.runtime.faultinject.FaultInjector`
         #: whose ``proc_fault`` plants chaos directives in chunks.
         self.injector = injector
@@ -1063,7 +1066,7 @@ class TileExecutor(object):
         shared-memory-backed when the fork pool can write its tiles in
         place, an ordinary :class:`SoACache` otherwise."""
         if (
-            self.workers > 1 and n > self.tile and _pool_available()
+            self.pool is not None and n > self.tile and _pool_available()
             and kernel.vectorized
         ):
             return B.ShmSoACache.allocate(layout, n)
@@ -1191,23 +1194,24 @@ class TileExecutor(object):
         recovery = None
         quarantined = breaker_open = probing = False
         shm = None
-        if self.workers > 1 and len(plan) > 1:
+        pool = self.pool
+        if pool is not None and len(plan) > 1:
             shm = self._shm_plan(kernel, layout, frame_cache, n, refill)
         # Eligibility first: a run that could never use the pool must
         # neither advance breaker time nor close a half-open breaker.
         if shm is not None:
-            if self._token_for(kernel) in _QUARANTINE:
+            if self._token_for(kernel) in pool.quarantine:
                 # Poison token: this kernel keeps killing workers, so
                 # it is served in-process (byte-identical, never fatal).
                 shm = None
                 quarantined = True
-                POOL_HEALTH.quarantine_routed += 1
-            elif not _BREAKER.allow_fork(self.policy):
+                pool.counts["quarantine_routed"] += 1
+            elif not pool.breaker.allow():
                 shm = None
                 breaker_open = True
-                POOL_HEALTH.degraded_runs += 1
+                pool.counts["degraded_runs"] += 1
             else:
-                probing = _BREAKER.state == "half_open"
+                probing = pool.breaker.state == HALF_OPEN
         if shm is not None:
             transport = "shm"
             recovery = {"lost": 0, "redispatched": 0, "inline": 0,
@@ -1216,10 +1220,10 @@ class TileExecutor(object):
                 kernel, columns, plan, layout, frame_cache, shm, n, obs,
                 shader, partition, phase, on_pool_incident, recovery,
             )
-            if probing and _BREAKER.state == "half_open":
-                # The half-open probe's pool survived within budget.
-                _BREAKER.close()
-                POOL_HEALTH.record(
+            if probing and pool.breaker.state == HALF_OPEN:
+                # The half-open probe's workers survived within budget.
+                pool.breaker.close()
+                pool.record(
                     "pool_recovered", detail="half-open probe succeeded"
                 )
                 if on_pool_incident is not None:
@@ -1382,34 +1386,6 @@ class TileExecutor(object):
             )
         return reply
 
-    def _note_loss(self, pool, worker, exc, token, kernel, hook):
-        """Bookkeeping for one lost worker: make sure the process is
-        really dead (hung/garbled workers get SIGKILL), record the
-        typed incident, and charge the kernel's quarantine strike."""
-        pool.ensure_dead(worker)
-        POOL_HEALTH.lost_workers[exc.kind] = (
-            POOL_HEALTH.lost_workers.get(exc.kind, 0) + 1
-        )
-        POOL_HEALTH.record(
-            "worker_" + exc.kind, worker=worker, detail=str(exc)
-        )
-        if hook is not None:
-            hook("worker_" + exc.kind, str(exc))
-        strikes = _KERNEL_STRIKES.get(token, 0) + 1
-        _KERNEL_STRIKES[token] = strikes
-        if (
-            strikes >= self.policy.quarantine_threshold
-            and token not in _QUARANTINE
-        ):
-            name = getattr(kernel.fn, "name", None) or repr(kernel.fn)
-            _QUARANTINE[token] = name
-            POOL_HEALTH.record(
-                "quarantine", worker=worker,
-                detail="kernel %s after %d worker losses" % (name, strikes),
-            )
-            if hook is not None:
-                hook("quarantine", "kernel %s -> serial transport" % name)
-
     @staticmethod
     def _most_actionable(failures):
         """The exception to raise from a multi-failure gather: prefer a
@@ -1444,8 +1420,9 @@ class TileExecutor(object):
         the frame's tiles are recovered — off the tile critical path —
         under the policy's restart budget.
         """
-        policy = self.policy
-        pool = _get_pool(self.workers)
+        pool = self.pool
+        policy = pool.policy
+        pool.start()
         pool.runs += 1
         token = self._token_for(kernel)
         deadline_s = (
@@ -1479,7 +1456,7 @@ class TileExecutor(object):
                 warm = self._dispatch(pool, worker, token, kernel, payload)
             except WorkerLostError as exc:
                 lost[worker] = exc
-                self._note_loss(pool, worker, exc, token, kernel, hook)
+                pool.note_loss(worker, exc, token, kernel, hook)
                 continue
             if warm:
                 warm_hits += 1
@@ -1498,12 +1475,12 @@ class TileExecutor(object):
                     )
             except WorkerLostError as exc:
                 lost[worker] = exc
-                self._note_loss(pool, worker, exc, token, kernel, hook)
+                pool.note_loss(worker, exc, token, kernel, hook)
                 continue
             if worker_spans is not None:
                 obs.tracer.ingest(worker_spans, parent=chunk_span)
             if status == "err":
-                POOL_HEALTH.record("worker_error", detail=str(value))
+                pool.record("worker_error", detail=str(value))
                 failures.append(value)
                 continue
             raw.extend(value)
@@ -1513,7 +1490,7 @@ class TileExecutor(object):
             # healed so the next frame sees a sane pool.
             recovery["lost"] += len(lost)
             failures.extend(lost.values())
-            self._heal(pool, lost, hook, recovery)
+            pool.heal(lost, hook, recovery)
             raise self._most_actionable(failures)
         if lost:
             raw.extend(self._redispatch_lost(
@@ -1522,7 +1499,7 @@ class TileExecutor(object):
                 obs, span_kwargs,
             ))
             recovery["lost"] += len(lost)
-            self._heal(pool, lost, hook, recovery)
+            pool.heal(lost, hook, recovery)
         return raw, warm_hits, warm_misses
 
     def _redispatch_lost(self, pool, kernel, token, jobs_by_worker,
@@ -1557,19 +1534,19 @@ class TileExecutor(object):
                         )
                 except WorkerLostError as exc:
                     lost[target] = exc
-                    self._note_loss(pool, target, exc, token, kernel, hook)
+                    pool.note_loss(target, exc, token, kernel, hook)
                     survivors.remove(target)
                     continue
                 if worker_spans is not None:
                     obs.tracer.ingest(worker_spans, parent=chunk_span)
                 if status == "err":
-                    POOL_HEALTH.record("worker_error", detail=str(value))
+                    pool.record("worker_error", detail=str(value))
                     raise self._most_actionable([value])
                 raw.extend(value)
                 served = True
                 recovery["redispatched"] += len(jobs)
-                POOL_HEALTH.redispatched_tiles += len(jobs)
-                POOL_HEALTH.record(
+                pool.counts["redispatched_tiles"] += len(jobs)
+                pool.record(
                     "redispatch", worker=worker,
                     detail="%d tile(s) -> worker %d" % (len(jobs), target),
                 )
@@ -1590,8 +1567,8 @@ class TileExecutor(object):
                     ):
                         raw.append(inline_job(job))
                 recovery["inline"] += len(jobs)
-                POOL_HEALTH.inline_tiles += len(jobs)
-                POOL_HEALTH.record(
+                pool.counts["inline_tiles"] += len(jobs)
+                pool.record(
                     "inline_fallback", worker=worker,
                     detail="%d tile(s) served in-process" % len(jobs),
                 )
@@ -1602,55 +1579,6 @@ class TileExecutor(object):
                         % (len(jobs), worker),
                     )
         return raw
-
-    def _heal(self, pool, lost, hook, recovery):
-        """Respawn lost workers under the restart budget; exhausting it
-        degrades the pool (discard + breaker trip) instead of thrashing
-        forever on a host that keeps killing children."""
-        if not lost or pool is not _POOL:
-            return
-        policy = self.policy
-        for worker in sorted(lost):
-            if not pool.respawn_budget_ok(policy):
-                detail = (
-                    "restart budget exhausted (>%d respawn(s) in %d runs)"
-                    % (policy.max_restarts, policy.restart_window)
-                )
-                POOL_HEALTH.record("pool_degraded", detail=detail)
-                if hook is not None:
-                    hook("pool_degraded", detail)
-                _BREAKER.trip(policy)
-                _discard_pool()
-                return
-            self._respawn_backoff(pool, worker)
-            ms = pool.respawn(worker)
-            pool.note_restart()
-            POOL_HEALTH.note_respawn(ms)
-            recovery["respawns"] += 1
-            recovery.setdefault("respawn_ms", []).append(ms)
-            POOL_HEALTH.record(
-                "respawn", worker=worker, detail="%.1f ms" % ms
-            )
-            if hook is not None:
-                hook(
-                    "respawn",
-                    "worker %d respawned in %.1f ms" % (worker, ms),
-                )
-
-    def _respawn_backoff(self, pool, worker):
-        """Seeded exponential backoff before a respawn (deterministic
-        per (seed, worker, run); disabled at the 0 ms default)."""
-        policy = self.policy
-        if policy.backoff_base_ms <= 0:
-            return
-        recent = len(pool._restart_log)
-        rng = random.Random(
-            "%r|respawn|%d|%d" % (policy.seed, worker, pool.runs)
-        )
-        delay_ms = min(
-            policy.backoff_base_ms * (2 ** recent), policy.backoff_cap_ms
-        ) * (0.5 + rng.random())
-        time.sleep(delay_ms / 1000.0)
 
     def _dispatch(self, pool, worker, token, kernel, payload):
         """Send one chunk, shipping the kernel spec only on the

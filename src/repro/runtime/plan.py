@@ -1,7 +1,7 @@
 """The execution plan: how one session, or one drag, actually runs.
 
 ``RenderSession`` resolves its execution keywords (``backend``,
-``guard``, ``workers``, ``tile``, ``pool_policy``) into one immutable
+``guard``, ``workers``, ``tile``) into one immutable
 :class:`ExecutionPlan` at construction, and ``begin_edit`` derives each
 drag's plan from it once.  ``EditSession``, ``repro render --json`` and
 the render service all read the plan, so what a surface reports is what
@@ -37,7 +37,6 @@ class ExecutionPlan(object):
     dispatch: bool = False
     workers: Any = None
     tile: Any = None
-    pool_policy: Any = None
     #: Edit plans only: the drag's
     #: :class:`~repro.runtime.faultinject.FaultInjector`, split between
     #: guard and pool by :attr:`guard_injector` / :attr:`pool_injector`.

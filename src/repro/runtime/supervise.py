@@ -198,13 +198,15 @@ class SupervisorIncident(object):
 
 
 class CircuitBreaker(object):
-    """Closed/open/half-open breaker for one (shader, partition).
+    """Closed/open/half-open breaker: one per (shader, partition) in the
+    supervisor, one per :class:`~repro.runtime.parallel.WorkerPool`.
 
-    Time is measured in *requests seen by this breaker*, which makes
-    probe scheduling deterministic and testable; the jitter that spreads
-    probes out is drawn from a :class:`random.Random` seeded with
-    ``(policy.seed, key, trip ordinal)``, so a fixed seed yields a fixed
-    probe schedule.
+    Time is measured in *requests seen by this breaker*, so probe
+    scheduling is deterministic: opening waits ``min(breaker_cooldown *
+    2**reopens, breaker_cooldown_cap)`` requests plus up to
+    ``probe_jitter`` of that again, seeded by ``(policy.seed, key, trip
+    ordinal)``.  The supervisor feeds outcomes through :meth:`record`
+    (windowed trip ratio); the pool calls :meth:`trip` and :meth:`close`.
     """
 
     def __init__(self, key, policy):
@@ -221,23 +223,22 @@ class CircuitBreaker(object):
         self.probe_at = None
         #: Jittered cooldown chosen at the last open (for reporting).
         self.last_cooldown = None
-        self._window = deque(maxlen=policy.breaker_window)
+        self._window = deque()
 
-    # -- routing -------------------------------------------------------------
+    def allow(self):
+        """Advance breaker time by one request; True when it may take
+        the guarded path (closed, or a half-open probe)."""
+        self.requests += 1
+        if self.state == OPEN and self.requests >= self.probe_at:
+            self.state = HALF_OPEN
+        return self.state != OPEN
 
     def route(self):
         """Route the next request: ``("specialized", probe?)`` or
         ``("original", False)``.  Advances breaker time."""
-        self.requests += 1
-        if self.state == CLOSED:
-            return "specialized", False
-        if self.state == OPEN and self.requests >= self.probe_at:
-            self.state = HALF_OPEN
-        if self.state == HALF_OPEN:
-            return "specialized", True
+        if self.allow():
+            return "specialized", self.state == HALF_OPEN
         return "original", False
-
-    # -- accounting ----------------------------------------------------------
 
     def record(self, bad, probe, specialized=True):
         """Feed one request outcome back; returns the breaker's state
@@ -250,51 +251,54 @@ class CircuitBreaker(object):
         """
         if self.state == HALF_OPEN and probe:
             if bad or not specialized:
-                if bad:
-                    self.reopens += 1
-                self._open()
+                self.trip(escalate=bad)
                 return (HALF_OPEN, OPEN)
-            self.state = CLOSED
-            self.reopens = 0
-            self.probe_at = None
-            self._window.clear()
+            self.close()
             return (HALF_OPEN, CLOSED)
         if self.state != CLOSED:
             return None  # routed to original while open: no accounting
-        self._window.append(bool(bad))
-        if self._tripped():
-            self._open()
+        window = self._window
+        window.append(bool(bad))
+        if len(window) > self.policy.breaker_window:
+            window.popleft()
+        if (
+            len(window) >= self.policy.breaker_min_requests
+            and sum(window) / float(len(window))
+            >= self.policy.breaker_trip_ratio
+        ):
+            self.trip()
             return (CLOSED, OPEN)
         return None
 
-    def _tripped(self):
-        window = self._window
-        if len(window) < self.policy.breaker_min_requests:
-            return False
-        return (
-            sum(window) / float(len(window))
-            >= self.policy.breaker_trip_ratio
-        )
-
-    def _open(self):
+    def trip(self, escalate=True):
+        """Open the breaker and schedule the next probe.  A failed
+        half-open probe (``escalate``) doubles the cooldown."""
         policy = self.policy
+        if self.state == HALF_OPEN and escalate:
+            self.reopens += 1
         self.state = OPEN
         self.trips += 1
         cooldown = min(
             policy.breaker_cooldown * (2 ** self.reopens),
             policy.breaker_cooldown_cap,
         )
-        jitter = self._rng().random() * policy.probe_jitter * cooldown
+        # Seeded per (policy seed, key, trip ordinal): deterministic
+        # across runs, different at each successive trip.
+        rng = random.Random(
+            "%r|%r|%d" % (policy.seed, self.key, self.trips)
+        )
+        jitter = rng.random() * policy.probe_jitter * cooldown
         self.last_cooldown = max(1, int(round(cooldown + jitter)))
         self.probe_at = self.requests + self.last_cooldown
         self._window.clear()
 
-    def _rng(self):
-        # Seeded per (policy seed, key, trip ordinal): deterministic
-        # across runs, different at each successive trip.
-        return random.Random(
-            "%r|%r|%d" % (self.policy.seed, self.key, self.trips)
-        )
+    def close(self):
+        """A half-open probe succeeded: back to CLOSED, backoff reset."""
+        if self.state == HALF_OPEN:
+            self.state = CLOSED
+            self.reopens = 0
+            self.probe_at = None
+            self._window.clear()
 
     def as_dict(self):
         return {
@@ -358,14 +362,10 @@ class HealthSnapshot(object):
             lines.append(
                 "pool: %d worker(s) lost, %d restart(s), %d tile(s) "
                 "redispatched, %d inline, quarantined: %s, breaker %s"
-                % (
-                    sum(pool["lost_workers"].values()),
-                    pool["restarts"],
-                    pool["redispatched_tiles"],
-                    pool["inline_tiles"],
-                    ", ".join(pool["quarantined"]) or "none",
-                    pool["breaker"]["state"],
-                )
+                % (sum(pool["lost_workers"].values()), pool["restarts"],
+                   pool["redispatched_tiles"], pool["inline_tiles"],
+                   ", ".join(pool["quarantined"]) or "none",
+                   pool["breaker"]["state"])
             )
         if d["incidents_dropped"]:
             lines.append(
@@ -421,6 +421,9 @@ class RenderSupervisor(object):
         #: Self-healing worker-pool events routed through
         #: :meth:`note_pool_incident` (losses, redispatches, respawns).
         self.pool_incidents = 0
+        #: The worker pool serving the tiled drags this supervises (they
+        #: set it); its ``health()`` is the snapshot's ``pool`` section.
+        self.pool = None
         self._request_tile_misses = 0
         self.exhausted = 0
         self.retries = 0
@@ -735,10 +738,6 @@ class RenderSupervisor(object):
 
     def health(self):
         """A :class:`HealthSnapshot` of everything observable."""
-        # Imported lazily: parallel pulls in the batch/shm machinery,
-        # which supervision must not require at import time.
-        from .parallel import pool_health
-
         return HealthSnapshot({
             "requests": self.requests,
             "rungs": dict(self.rung_counts),
@@ -747,7 +746,7 @@ class RenderSupervisor(object):
             "deadline_misses": self.deadline_misses,
             "tile_degradations": self.tile_degradations,
             "pool_incidents": self.pool_incidents,
-            "pool": pool_health(),
+            "pool": self.pool.health() if self.pool is not None else None,
             "exhausted": self.exhausted,
             "retries": self.retries,
             "backoff_seconds": self.backoff_seconds,

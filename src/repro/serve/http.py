@@ -28,8 +28,11 @@ bytes (:meth:`~repro.runtime.colors.ColorColumn.to_wire`), bit exact
 and without a decimal float per component; any other ``Accept`` gets
 per-pixel ``[r, g, b]`` lists in ``application/json``.  Replies
 without colours, errors included, are ``application/json`` either way.
-The body is encoded inside the ``serve.request`` span, so the recorded
-request time includes it.
+
+Every request, over HTTP or driven in-process (``repro slo`` and
+``repro trace --flight`` without ``--url``), takes one path,
+:func:`serve_request`: the body is encoded inside the ``serve.request``
+span, so the recorded request time includes it.
 
 Every response — errors and sheds included — carries an
 ``X-Repro-Request-Id`` header: the inbound header's value when the
@@ -114,6 +117,68 @@ def encode_reply(payload, frame=False):
     return body, content_type
 
 
+def _error_reply(err):
+    """``(payload, headers)`` for a :class:`ServiceError`; sheds and
+    drains carry the seeded-jitter ``Retry-After``."""
+    payload = {"error": err.code, "detail": str(err)}
+    headers = {}
+    retry_after = getattr(err, "retry_after_s", None)
+    if retry_after is not None:
+        payload["retry_after_s"] = retry_after
+        payload["scope"] = getattr(err, "scope", None)
+        # The header is integer seconds (RFC 9110); the payload keeps
+        # the exact jittered float.
+        headers["Retry-After"] = str(max(1, int(math.ceil(retry_after))))
+    return payload, headers
+
+
+def serve_request(service, method, path, route, frame=False,
+                  request_id=None, tenant=None):
+    """Serve one request the way every transport does: mint the id,
+    take the span mark, open the ``serve.request`` span, run ``route()``
+    (``(endpoint, status, payload, headers)``), encode the reply inside
+    the span, then :meth:`~repro.serve.service.RenderService.observe`.
+    Returns ``(status, body, content_type, headers)``; the headers carry
+    ``X-Repro-Request-Id``."""
+    started = time.monotonic()
+    endpoint, status = "other", 500
+    rid = request_id or service.mint_request_id()
+    mark = service.span_mark()
+    with request_context(rid):
+        with service.obs.span(
+            "serve.request", method=method, path=path
+        ) as span:
+            try:
+                endpoint, status, payload, headers = route()
+            except ServiceError as err:
+                status = err.status
+                payload, headers = _error_reply(err)
+            except SpecializationError as err:
+                # The render pipeline failed in a way supervision could
+                # not absorb: a server-side error, but never a hang.
+                status = 500
+                payload = {"error": "render_failed", "detail": str(err)}
+                headers = {}
+            except Exception as err:  # pragma: no cover - must answer
+                status = 500
+                payload = {"error": "internal", "detail": str(err)}
+                headers = {}
+            body, content_type = encode_reply(payload, frame)
+            span.set(endpoint=endpoint, status=status)
+        extra = {}
+        if isinstance(payload, dict):
+            for key in ("session", "rung", "phase"):
+                if key in payload:
+                    extra[key] = payload[key]
+        service.observe(
+            endpoint, status, (time.monotonic() - started) * 1000.0,
+            request_id=rid, tenant=tenant, span_mark=mark, **extra,
+        )
+    headers = dict(headers or {})
+    headers["X-Repro-Request-Id"] = rid
+    return status, body, content_type, headers
+
+
 class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -146,52 +211,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method):
         service = self.server.service
-        started = time.monotonic()
-        endpoint, status = "other", 500
-        rid = (
-            (self.headers.get("X-Repro-Request-Id") or "").strip()
-            or service.mint_request_id()
+        status, body, content_type, headers = serve_request(
+            service, method, self.path.split("?", 1)[0],
+            lambda: self._route(method, service),
+            frame=prefers_frame(self.headers.get("Accept")),
+            request_id=(
+                self.headers.get("X-Repro-Request-Id") or ""
+            ).strip(),
+            tenant=self.headers.get("X-Repro-Tenant"),
         )
-        mark = service.span_mark()
-        frame = prefers_frame(self.headers.get("Accept"))
-        with request_context(rid):
-            with service.obs.span(
-                "serve.request", method=method,
-                path=self.path.split("?", 1)[0],
-            ) as span:
-                try:
-                    endpoint, status, payload, headers = self._route(
-                        method, service
-                    )
-                except ServiceError as err:
-                    status = err.status
-                    payload, headers = self._error_payload(err)
-                except SpecializationError as err:
-                    # The render pipeline failed in a way supervision
-                    # could not absorb: a server-side error, but never
-                    # a hang.
-                    status = 500
-                    payload = {"error": "render_failed", "detail": str(err)}
-                    headers = {}
-                except Exception as err:  # pragma: no cover - must answer
-                    status = 500
-                    payload = {"error": "internal", "detail": str(err)}
-                    headers = {}
-                body, content_type = encode_reply(payload, frame)
-                span.set(endpoint=endpoint, status=status)
-            extra = {}
-            if isinstance(payload, dict):
-                for key in ("session", "rung", "phase"):
-                    if key in payload:
-                        extra[key] = payload[key]
-            service.observe(
-                endpoint, status, (time.monotonic() - started) * 1000.0,
-                request_id=rid,
-                tenant=self.headers.get("X-Repro-Tenant"),
-                span_mark=mark, **extra,
-            )
-        headers = dict(headers or {})
-        headers["X-Repro-Request-Id"] = rid
         self._send(status, body, content_type, headers)
 
     def _route(self, method, service):
@@ -245,21 +273,6 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(body, dict):
             raise ServiceError("request body must be a JSON object")
         return body
-
-    @staticmethod
-    def _error_payload(err):
-        payload = {"error": err.code, "detail": str(err)}
-        headers = {}
-        retry_after = getattr(err, "retry_after_s", None)
-        if retry_after is not None:
-            payload["retry_after_s"] = retry_after
-            payload["scope"] = getattr(err, "scope", None)
-            # The header is integer seconds (RFC 9110); the payload
-            # keeps the exact jittered float.
-            headers["Retry-After"] = str(
-                max(1, int(math.ceil(retry_after)))
-            )
-        return payload, headers
 
     def _send(self, status, body, content_type, headers):
         try:

@@ -9,6 +9,8 @@ session, all sharing:
 * one :class:`~repro.serve.store.ArtifactStore` (specialize once per
   shader×partition, across every tenant *and* process on the store),
 * one :class:`~repro.obs.Observability` bundle (``/metrics``),
+* one :class:`~repro.runtime.parallel.WorkerPool` when the plan has
+  more than one worker (it forks on the first pooled frame),
 * one :class:`~repro.runtime.supervise.RenderSupervisor` **per
   tenant** — breakers are keyed (shader, partition), so without the
   per-tenant split one tenant's poison shader would trip the breaker
@@ -23,10 +25,9 @@ Robustness contract:
   ``Retry-After``, never a stalled socket.
 * **Graceful drain.**  :meth:`RenderService.drain` flips the service
   into draining (new work sheds with 503), waits out in-flight frames
-  up to ``drain_timeout_s``, closes every session, then runs the
-  idempotent resource sweeps (:func:`~repro.runtime.lifecycle
-  .cleanup_now`): no orphaned worker pools, no ``repro_shm_*``
-  segments, no stray store lockfiles.
+  up to ``drain_timeout_s``, closes every session and the service's
+  worker pool: no live worker, no ``repro_shm_*`` segment, no stray
+  store lockfile.
 * **Crash recovery.**  Startup reclaims shm segments orphaned by a
   previous unclean death (:func:`~repro.runtime.batch
   .reclaim_orphaned_segments`) and sweeps the artifact store
@@ -53,6 +54,7 @@ from ..obs.schema import canonical_endpoint
 from ..obs.slo import SloTracker, default_service_objectives
 from ..runtime import native
 from ..runtime.faultinject import FaultInjector
+from ..runtime.parallel import WorkerPool
 from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, SupervisorPolicy
 from ..shaders.render import RenderSession
@@ -312,22 +314,24 @@ class RenderService(object):
         #: a bad ``backend``/``workers``/``tile`` fails construction.
         self.plan = ExecutionPlan(
             backend=config.backend, workers=config.workers,
-            tile=config.tile, pool_policy=config.pool_policy,
+            tile=config.tile,
         )
         self.obs = resolve_obs(obs)
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
         self.store = ArtifactStore(config.store_dir)
-        #: The warm fork pool (``runtime/parallel._POOL``) is process-
-        #: global with per-connection dispatch state, so *pooled* frame
-        #: renders from different sessions must not interleave: with
-        #: ``workers > 1`` one mutex serializes the render itself
+        #: The one worker pool every hosted session renders on (None
+        #: with one worker).  It keeps per-connection dispatch state,
+        #: so *pooled* frame renders from different sessions must not
+        #: interleave: one mutex serializes the render itself
         #: (admission still bounds how many requests hold sockets).
         #: Single-worker services — the default — render fully
         #: concurrently.
-        self._pool_mutex = (
-            threading.Lock() if self.plan.workers > 1 else None
-        )
+        self.pool = None
+        self._pool_mutex = None
+        if self.plan.workers > 1:
+            self.pool = WorkerPool(self.plan.workers, config.pool_policy)
+            self._pool_mutex = threading.Lock()
         self._lock = threading.RLock()
         self._sessions = {}
         self._supervisors = {}
@@ -459,7 +463,7 @@ class RenderService(object):
         session = RenderSession(
             spec_info.index, backend=plan.backend, supervisor=supervisor,
             obs=self.obs, workers=plan.workers, tile=plan.tile,
-            pool_policy=plan.pool_policy, store=self.store,
+            pool=self.pool, store=self.store,
             width=width, height=height,
         )
         injector = None
@@ -657,7 +661,7 @@ class RenderService(object):
 
     def drain(self, timeout_s=None):
         """Graceful shutdown: refuse new work, wait out in-flight
-        frames (bounded), close every session, sweep pools and arenas.
+        frames (bounded), close every session and the worker pool.
         Idempotent — a second call returns the first call's summary."""
         with self._lock:
             if self._drained:
@@ -678,9 +682,8 @@ class RenderService(object):
                 self.close_session(session_id)
             except SessionNotFound:
                 pass
-        from ..runtime.lifecycle import cleanup_now
-
-        cleanup_now()
+        if self.pool is not None:
+            self.pool.close()
         summary = {
             "drained": True,
             "closed_sessions": len(hosted),
@@ -742,8 +745,6 @@ class RenderService(object):
         """The service-level health payload: admission + session +
         store + recovery state, plus one full
         :class:`~repro.runtime.supervise.HealthSnapshot` per tenant."""
-        from ..runtime.parallel import pool_health
-
         now = self.clock()
         with self._lock:
             by_tenant = {}
@@ -765,7 +766,9 @@ class RenderService(object):
                 "admission": admission,
                 "store": self.store.stats(),
                 "recovery": self.recovery,
-                "pool": pool_health(),
+                "pool": (
+                    self.pool.health() if self.pool is not None else None
+                ),
                 "native_builtins": native.status(),
                 "flight": {
                     "recorded": self.flight.recorded,

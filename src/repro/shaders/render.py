@@ -17,6 +17,7 @@ costs the paper's figures are built from.
 from __future__ import annotations
 
 import time
+import weakref
 
 from ..core.specializer import DataSpecializer
 from ..lang.errors import DeadlineError, SpecializationError, SupervisionError
@@ -94,10 +95,11 @@ class EditSession(object):
         self._executor = (
             P.TileExecutor(
                 workers=plan.workers, tile=plan.tile,
-                policy=plan.pool_policy, injector=plan.pool_injector,
+                pool=render_session.pool, injector=plan.pool_injector,
             )
             if plan.tiled else None
         )
+        render_session._edits.add(self)
         #: Telemetry bundle inherited from the session: frame spans,
         #: cost histograms, cache/guard metrics.
         self.obs = render_session.obs
@@ -109,6 +111,9 @@ class EditSession(object):
         if supervisor is None:
             supervisor = render_session.supervisor
         self.supervisor = supervisor or None
+        pool = self._executor.pool if self._executor is not None else None
+        if self.supervisor is not None and pool is not None:
+            self.supervisor.pool = pool
         #: Guarded execution: faults are contained to the pixel/lane
         #: that raised them (fallback to ``run_original``) and recorded
         #: in :attr:`fault_log`.  A supervised guard inherits the
@@ -158,13 +163,15 @@ class EditSession(object):
             )
 
     def close(self):
-        """Release this drag's tiled executor — its per-session shm
-        arenas and pool handle — without touching the process-wide warm
-        pool other drags share.  Safe to call repeatedly; a service
-        hosting many sessions calls this when a session ends."""
+        """Release this drag's shared memory — the tiled executor's
+        arenas and the frame cache's — without touching the worker pool
+        the session's other drags share.  Safe to call repeatedly; a
+        service hosting many sessions calls this when a session ends."""
         if self._executor is not None:
             self._executor.close()
             self._executor = None
+        if isinstance(self.caches, B.ShmSoACache):
+            self.caches.arena.release()
 
     @property
     def fault_log(self):
@@ -939,7 +946,7 @@ class RenderSession(object):
     def __init__(self, shader_index, scene=None, specializer_options=None,
                  width=16, height=16, backend=None, guard=False,
                  supervisor=None, policy=None, obs=None, workers=None,
-                 tile=None, pool_policy=None, store=None,
+                 tile=None, pool_policy=None, pool=None, store=None,
                  incremental=False):
         self.spec_info = SHADERS[shader_index]
         #: The resolved :class:`~repro.runtime.plan.ExecutionPlan` every
@@ -947,9 +954,16 @@ class RenderSession(object):
         #: ``backend="auto"`` (batch when NumPy is importable).
         self.plan = ExecutionPlan(
             backend=backend, guard=guard, workers=workers, tile=tile,
-            pool_policy=pool_policy,
         )
         self.backend = self.plan.backend
+        #: The :class:`~repro.runtime.parallel.WorkerPool` handed in by
+        #: an owner that shares it (the render service), or None: a
+        #: pooled session then builds its own from ``workers`` and
+        #: ``pool_policy`` on first use and closes it in :meth:`close`.
+        self._pool = pool
+        self._owns_pool = pool is None
+        self._pool_policy = pool_policy
+        self._edits = weakref.WeakSet()
         #: Shared artifact store (:class:`~repro.serve.store
         #: .ArtifactStore`): specializations are fetched/persisted by
         #: content address, so sessions — and processes — pointed at
@@ -991,6 +1005,22 @@ class RenderSession(object):
         self.controls = self.spec_info.default_controls()
         self._spec_memo = {}
         self._geometry_columns = None
+
+    @property
+    def pool(self):
+        """The worker pool this session's tiled drags run on (None when
+        the plan has one worker); forks nothing until a pooled run."""
+        if self._pool is None and self.plan.workers > 1:
+            self._pool = P.WorkerPool(self.plan.workers, self._pool_policy)
+        return self._pool
+
+    def close(self):
+        """Release every drag's shared memory and stop the session's
+        own worker pool (a handed-in pool belongs to its owner)."""
+        for edit in list(self._edits):
+            edit.close()
+        if self._owns_pool and self._pool is not None:
+            self._pool.close()
 
     # -- argument plumbing ---------------------------------------------------
 

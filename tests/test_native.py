@@ -444,10 +444,11 @@ def test_pool_resolves_the_tier_before_forking(monkeypatch):
 
     monkeypatch.setattr(native, "TIER", CountingTier())
     pool = P.WorkerPool(2)
+    pool.start()
     try:
         assert len(resolved) == 2
     finally:
-        pool.shutdown()
+        pool.close()
 
 
 # -- observability -------------------------------------------------------------

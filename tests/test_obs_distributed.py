@@ -54,15 +54,6 @@ requires_fork = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_pool_state():
-    P._discard_pool()
-    P.reset_pool_state()
-    yield
-    P._discard_pool()
-    P.reset_pool_state()
-
-
 class FakeClock(object):
     def __init__(self):
         self.now = 0.0
@@ -535,7 +526,7 @@ class TestForkSpanPropagation:
             load_b, adj_b = _drag(session, edit, param)
         _assert_equal(load_a, load_b, "kill-recovered load")
         _assert_equal(adj_a, adj_b, "adjust after recovery")
-        assert P.pool_health()["lost_workers"]["crash"] == 1
+        assert session.pool.health()["lost_workers"]["crash"] == 1
         # The killed worker's spans never arrive; redispatched tiles
         # are recorded exactly once by the surviving worker.
         seen = _tiles_by_phase(obs.tracer)
@@ -559,7 +550,7 @@ class TestForkSpanPropagation:
             load_b, adj_b = _drag(session, edit, param)
         _assert_equal(load_a, load_b, "hang-recovered load")
         _assert_equal(adj_a, adj_b, "adjust after recovery")
-        assert P.pool_health()["lost_workers"]["hang"] == 1
+        assert session.pool.health()["lost_workers"]["hang"] == 1
         seen = _tiles_by_phase(obs.tracer)
         assert sorted(seen["load"]) == [0, 1, 2, 3, 4, 5]
         assert sorted(seen["adjust"]) == [0, 1, 2, 3, 4, 5]

@@ -200,7 +200,8 @@ def test_pool_engages_and_matches_serial():
     cache = spec.new_batch_cache(n)
     loader = spec.batch_kernel("loader")
     serial = P.TileExecutor(workers=1, tile=16)
-    pooled = P.TileExecutor(workers=3, tile=16)
+    pool = P.WorkerPool(3)
+    pooled = P.TileExecutor(workers=3, tile=16, pool=pool)
     lv, lc = serial.run(loader, columns, n, frame_cache=cache,
                         layout=spec.layout, width=8)
     assert serial.last_stats.pooled is False
@@ -212,6 +213,8 @@ def test_pool_engages_and_matches_serial():
     rv, rc = serial.run(kernel, columns, n, frame_cache=cache, width=8)
     qv, qc = pooled.run(kernel, columns, n, frame_cache=cache2, width=8)
     assert rv == qv and rc.tolist() == qc.tolist()
+    pooled.close()
+    pool.close()
 
 
 # -- per-tile deadlines ------------------------------------------------------

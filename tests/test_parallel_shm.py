@@ -340,33 +340,30 @@ def test_no_numpy_session_runs_serial(monkeypatch):
 def test_serial_fallback_leaves_half_open_breaker_alone():
     """Only shm-eligible runs count as pool-breaker time: a run that
     falls back to serial for its own reasons (here a diverged cache)
-    while the breaker is half-open neither advances its run count nor
-    closes it."""
-    P._discard_pool()
-    P.reset_pool_state()
+    while the breaker is half-open neither advances its request count
+    nor closes it."""
     session = RenderSession(3, width=8, height=6, backend="batch",
                             workers=2, tile=12)
     edit = session.begin_edit("veinfreq")
+    breaker = session.pool.breaker
     try:
         edit.load(session.controls)
         assert edit._executor.last_stats.transport == "shm"
         cache = edit.caches
         k = next(k for k, c in enumerate(cache.columns) if c is not None)
         cache.columns[k] = cache.columns[k].copy()
-        P._BREAKER.trip(P.PoolPolicy())
-        P._BREAKER.state = "half_open"
-        before = P._BREAKER.as_dict()
+        breaker.trip()
+        breaker.state = "half_open"
+        before = breaker.as_dict()
         edit.adjust(session.controls_with(
             veinfreq=session.controls["veinfreq"] * 1.3 + 0.05
         ))
         stats = edit._executor.last_stats
         assert stats.transport == "serial"
         assert not stats.breaker_open
-        assert P._BREAKER.as_dict() == before
+        assert breaker.as_dict() == before
     finally:
-        edit.close()
-        P._discard_pool()
-        P.reset_pool_state()
+        session.close()
 
 
 # -- serial loaders keep the shm frame cache backed --------------------------
@@ -423,12 +420,13 @@ def _force_serial_load(cause, edit, monkeypatch):
     """Make the next tiled load of ``edit`` miss the pool: an open
     breaker, a quarantined loader kernel, or (``pipe``) one tile whose
     results come back over the pipe inside an otherwise pooled run."""
+    pool = edit._executor.pool
     if cause == "breaker":
-        P._BREAKER.trip(P.PoolPolicy())
-        P._BREAKER.probe_at = 10 ** 9
+        pool.breaker.trip()
+        pool.breaker.probe_at = 10 ** 9
     elif cause == "quarantine":
         loader = edit.specialization.batch_kernel("loader")
-        P._QUARANTINE[edit._executor._token_for(loader)] = "loader"
+        pool.quarantine[edit._executor._token_for(loader)] = "loader"
     else:
         store = P._store_tile
 
@@ -458,8 +456,6 @@ def test_serial_loader_keeps_shm_cache_pooled(cause, monkeypatch):
     base = RenderSession(3, width=16, height=16, backend="batch")
     ref_load, ref_adj = _drag(base, base.begin_edit(param), param)
     before = _shm_segments()
-    P._discard_pool()
-    P.reset_pool_state()
     session = RenderSession(3, width=16, height=16, backend="batch",
                             workers=2, tile=64)
     edit = session.begin_edit(param)
@@ -475,7 +471,8 @@ def test_serial_loader_keeps_shm_cache_pooled(cause, monkeypatch):
             assert stats.pooled
         assert isinstance(edit.caches, B.ShmSoACache)
         assert P._shm_cache_states(edit.caches) is not None
-        P._BREAKER.reset()
+        if cause == "breaker":
+            session.pool.breaker.probe_at = 0  # probe on the next run
         adjusted = edit.adjust(session.controls_with(
             **{param: session.controls[param] * 1.3 + 0.05}
         ))
@@ -483,9 +480,7 @@ def test_serial_loader_keeps_shm_cache_pooled(cause, monkeypatch):
         _assert_equal(ref_load, loaded, "%s load" % cause)
         _assert_equal(ref_adj, adjusted, "%s adjust" % cause)
     finally:
-        edit.close()
-        P.shutdown_pools()
-        P.reset_pool_state()
+        session.close()
     del edit, session
     gc.collect()
     assert not (_shm_segments() - before)
@@ -533,8 +528,7 @@ def test_no_segment_leaks_after_sessions_and_shutdown():
         edit = session.begin_edit(param)
         _drag(session, edit, param)
         assert edit._executor.last_stats.pooled
-        edit._executor.close()
-    P.shutdown_pools()
+        session.close()
     gc.collect()
     assert B.shm_resident_bytes() == 0
     leaked = _shm_segments() - before
@@ -543,12 +537,22 @@ def test_no_segment_leaks_after_sessions_and_shutdown():
 
 @requires_numpy
 @requires_fork
-def test_pool_rebuilds_when_worker_count_changes():
-    pool_a = P._get_pool(2)
-    assert pool_a.workers == 2
-    assert P._get_pool(2) is pool_a
-    pool_b = P._get_pool(3)
-    assert pool_b is not pool_a
-    assert pool_b.workers == 3
-    P.shutdown_pools()
-    assert P._POOL is None
+@requires_shm
+def test_session_close_stops_its_pool():
+    """A pooled session builds its own pool, which forks on the first
+    pooled run; ``close()`` leaves no live worker, resident arena or
+    segment, even with the drag and its frame cache still referenced."""
+    before = _shm_segments()
+    session = RenderSession(5, width=8, height=8, backend="batch",
+                            workers=2, tile=16)
+    param = _params_of(5)[0]
+    edit = session.begin_edit(param)
+    assert session.pool.health()["workers"]["alive"] == 0
+    _drag(session, edit, param)
+    assert edit._executor.last_stats.pooled
+    procs = list(session.pool._procs)
+    assert len(procs) == 2 and all(proc.is_alive() for proc in procs)
+    session.close()
+    assert all(not proc.is_alive() for proc in procs)
+    assert B.shm_resident_bytes() == 0
+    assert not (_shm_segments() - before)

@@ -50,7 +50,7 @@ def _assert_identical(expect, got, what):
 
 def _reconverged(edit):
     stats = edit._executor.last_stats
-    health = P.pool_health()
+    health = edit._executor.pool.health()
     return (
         stats.pooled
         and stats.warm_hits == stats.workers
@@ -71,55 +71,50 @@ def _reconverged(edit):
     % (P.usable_cores(), GATE_MIN_CORES),
 )
 def test_pool_reconverges_after_chaos():
-    P.reset_pool_state()
     faulted = 0
-    try:
-        for index in SWEEP:
-            param = SHADERS[index].control_params[0]
-            serial = RenderSession(index, width=WIDTH, height=HEIGHT,
-                                   backend="batch")
-            serial_edit = serial.begin_edit(param)
-            base = serial.controls[param]
-            values = [base * (1.2 + 0.1 * step) + 0.05
-                      for step in range(CHAOS_ADJUSTS)]
-            injector = FaultInjector(seed=SEED + index, proc_rate=PROC_RATE,
-                                     proc_kinds=("kill", "hang"))
-            session = RenderSession(index, width=WIDTH, height=HEIGHT,
-                                    backend="batch", workers=WORKERS,
-                                    tile=TILE, pool_policy=_policy())
-            edit = session.begin_edit(param, injector=injector)
-            for frame, value in enumerate([None] + values):
-                planted = len(injector.injected)
-                if value is None:
-                    expect = serial_edit.load(serial.controls)
-                    got = edit.load(session.controls)
-                else:
-                    expect = serial_edit.adjust(
-                        serial.controls_with(**{param: value}))
-                    got = edit.adjust(session.controls_with(**{param: value}))
-                _assert_identical(
-                    expect, got,
-                    "shader %d frame %d under chaos" % (index, frame),
-                )
-                faulted += len(injector.injected) > planted
-
-            # Chaos off: the pool must return to all-warm.
-            edit._executor.injector = None
-            clean = values[-1] * 1.05
-            expect = serial_edit.adjust(serial.controls_with(**{param: clean}))
-            for attempt in range(1, RECONVERGE_BUDGET + 1):
-                got = edit.adjust(session.controls_with(**{param: clean}))
-                _assert_identical(
-                    expect, got,
-                    "shader %d clean frame %d" % (index, attempt),
-                )
-                if _reconverged(edit):
-                    break
+    for index in SWEEP:
+        param = SHADERS[index].control_params[0]
+        serial = RenderSession(index, width=WIDTH, height=HEIGHT,
+                               backend="batch")
+        serial_edit = serial.begin_edit(param)
+        base = serial.controls[param]
+        values = [base * (1.2 + 0.1 * step) + 0.05
+                  for step in range(CHAOS_ADJUSTS)]
+        injector = FaultInjector(seed=SEED + index, proc_rate=PROC_RATE,
+                                 proc_kinds=("kill", "hang"))
+        session = RenderSession(index, width=WIDTH, height=HEIGHT,
+                                backend="batch", workers=WORKERS,
+                                tile=TILE, pool_policy=_policy())
+        edit = session.begin_edit(param, injector=injector)
+        for frame, value in enumerate([None] + values):
+            planted = len(injector.injected)
+            if value is None:
+                expect = serial_edit.load(serial.controls)
+                got = edit.load(session.controls)
             else:
-                pytest.fail("pool never reconverged for shader %d" % index)
-            edit.close()
-        assert faulted > 0, "chaos sweep planted no faults"
-    finally:
-        P.shutdown_pools()
-        P.reset_pool_state()
-    assert B.shm_resident_bytes() == 0, "arenas survived shutdown_pools"
+                expect = serial_edit.adjust(
+                    serial.controls_with(**{param: value}))
+                got = edit.adjust(session.controls_with(**{param: value}))
+            _assert_identical(
+                expect, got,
+                "shader %d frame %d under chaos" % (index, frame),
+            )
+            faulted += len(injector.injected) > planted
+
+        # Chaos off: the pool must return to all-warm.
+        edit._executor.injector = None
+        clean = values[-1] * 1.05
+        expect = serial_edit.adjust(serial.controls_with(**{param: clean}))
+        for attempt in range(1, RECONVERGE_BUDGET + 1):
+            got = edit.adjust(session.controls_with(**{param: clean}))
+            _assert_identical(
+                expect, got,
+                "shader %d clean frame %d" % (index, attempt),
+            )
+            if _reconverged(edit):
+                break
+        else:
+            pytest.fail("pool never reconverged for shader %d" % index)
+        session.close()
+    assert faulted > 0, "chaos sweep planted no faults"
+    assert B.shm_resident_bytes() == 0, "arenas survived session close()"

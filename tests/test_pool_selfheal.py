@@ -6,7 +6,9 @@ every frame still completes *byte-identically* to the serial backend
 (colors and int64 cost totals both), lost workers are respawned under
 the restart budget, kernels that keep killing workers are quarantined
 to the serial transport, budget exhaustion trips the pool breaker, and
-no process or shared-memory segment outlives ``shutdown_pools``.
+no process or shared-memory segment outlives the pool's ``close()``.
+Every pool is owned: two pools never share a breaker, a quarantine or
+a counter.
 """
 
 import gc
@@ -25,18 +27,6 @@ requires_numpy = pytest.mark.skipif(
 requires_fork = pytest.mark.skipif(
     not P._fork_available(), reason="fork start method unavailable"
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_pool_state():
-    """Quarantine sets, breaker state, health counters, and the pool's
-    own restart ledger are process globals; every test starts from a
-    clean slate (forking a fresh 2-worker pool costs ~2 ms)."""
-    P._discard_pool()
-    P.reset_pool_state()
-    yield
-    P._discard_pool()
-    P.reset_pool_state()
 
 
 class ScriptedInjector(FaultInjector):
@@ -119,7 +109,7 @@ def test_kill_hang_chaos_byte_identical(index):
         _assert_equal(load_a, load_b, what + " load")
         _assert_equal(adj_a, adj_b, what + " adjust")
         if injector.injected:
-            health = P.pool_health()
+            health = session.pool.health()
             losses = sum(health["lost_workers"].values())
             recovered = (health["redispatched_tiles"]
                          + health["inline_tiles"])
@@ -127,6 +117,7 @@ def test_kill_hang_chaos_byte_identical(index):
             assert recovered > 0 or health["restarts"] > 0, (
                 what + ": losses recorded but nothing recovered"
             )
+        session.close()
 
 
 # -- single-fault anatomy ----------------------------------------------------
@@ -148,7 +139,7 @@ def test_killed_worker_redispatches_to_survivor():
     load_b, adj_b = _drag(session, edit, param)
     _assert_equal(load_a, load_b, "kill-recovered load")
     _assert_equal(adj_a, adj_b, "adjust after recovery")
-    health = P.pool_health()
+    health = session.pool.health()
     assert health["lost_workers"]["crash"] == 1
     assert health["redispatched_tiles"] > 0
     assert health["restarts"] == 1
@@ -158,6 +149,7 @@ def test_killed_worker_redispatches_to_survivor():
     assert "worker_crash" in kinds
     assert "redispatch" in kinds
     assert "respawn" in kinds
+    session.close()
 
 
 @requires_numpy
@@ -181,10 +173,11 @@ def test_hung_worker_detected_by_deadline():
     assert elapsed < 10.0, "hang detection waited %.1fs" % elapsed
     _assert_equal(load_a, load_b, "hang-recovered load")
     _assert_equal(adj_a, adj_b, "adjust after recovery")
-    health = P.pool_health()
+    health = session.pool.health()
     assert health["lost_workers"]["hang"] == 1
     assert health["lost_workers"]["crash"] == 0
     assert health["restarts"] == 1
+    session.close()
 
 
 @requires_numpy
@@ -202,9 +195,10 @@ def test_garbled_reply_is_typed_and_recovered():
     load_b, adj_b = _drag(session, edit, param)
     _assert_equal(load_a, load_b, "garbled-recovered load")
     _assert_equal(adj_a, adj_b, "adjust after recovery")
-    health = P.pool_health()
+    health = session.pool.health()
     assert health["lost_workers"]["garbled"] == 1
     assert health["restarts"] == 1
+    session.close()
 
 
 @requires_numpy
@@ -222,9 +216,10 @@ def test_slow_reply_is_not_a_loss():
     load_b, adj_b = _drag(session, edit, param)
     _assert_equal(load_a, load_b, "slow load")
     _assert_equal(adj_a, adj_b, "slow adjust")
-    health = P.pool_health()
+    health = session.pool.health()
     assert sum(health["lost_workers"].values()) == 0
     assert health["restarts"] == 0
+    session.close()
 
 
 @requires_numpy
@@ -243,11 +238,12 @@ def test_total_loss_falls_back_inline():
     load_b, adj_b = _drag(session, edit, param)
     _assert_equal(load_a, load_b, "total-loss load")
     _assert_equal(adj_a, adj_b, "adjust after total loss")
-    health = P.pool_health()
+    health = session.pool.health()
     assert health["lost_workers"]["crash"] == 2
     assert health["inline_tiles"] > 0
     assert health["restarts"] == 2
     assert health["workers"]["alive"] == health["workers"]["configured"]
+    session.close()
 
 
 # -- reconvergence: the pool returns to all-warm -----------------------------
@@ -286,15 +282,17 @@ def test_pool_reconverges_warm_after_respawn():
     expect = sedit.adjust(sdragged)
     _assert_equal(expect, first, "first post-chaos adjust")
     _assert_equal(expect, second, "all-warm adjust")
+    session.close()
 
 
 def test_respawn_median_slides_over_recent_samples():
     """A long-lived daemon's respawn median follows its most recent
     512 respawns instead of freezing on its first 512; ``restarts``
     still counts every respawn."""
+    pool = P.WorkerPool(2)
     for ms in range(600):
-        P.POOL_HEALTH.note_respawn(float(ms))
-    health = P.pool_health()
+        pool.note_respawn(float(ms))
+    health = pool.health()
     assert health["restarts"] == 600
     assert health["respawn_samples"] == 512
     assert health["respawn_ms_median"] == (88 + 599) / 2.0
@@ -318,7 +316,7 @@ def test_repeat_killer_kernel_is_quarantined():
     edit = session.begin_edit(param, injector=injector)
     load_b = edit.load(session.controls)
     _assert_equal(load_a, load_b, "load that trips quarantine")
-    health = P.pool_health()
+    health = session.pool.health()
     assert health["quarantined"], "loader kernel not quarantined"
     # The same loader again: routed to serial before any dispatch.
     load_c = edit.load(session.controls)
@@ -326,7 +324,8 @@ def test_repeat_killer_kernel_is_quarantined():
     stats = edit._executor.last_stats
     assert stats.quarantined
     assert stats.transport == "serial"
-    assert P.pool_health()["quarantine_routed"] >= 1
+    assert session.pool.health()["quarantine_routed"] >= 1
+    session.close()
 
 
 # -- restart budget and the pool breaker -------------------------------------
@@ -336,8 +335,9 @@ def test_repeat_killer_kernel_is_quarantined():
 @requires_fork
 def test_restart_budget_exhaustion_trips_breaker():
     """With a zero restart budget the first loss degrades the pool:
-    breaker open, pool discarded, subsequent runs ride serial —
-    and after the cooldown a half-open probe closes the breaker."""
+    breaker open, workers stopped, subsequent runs ride serial — and
+    after the cooldown a half-open probe forks fresh workers on the
+    same pool object and closes the breaker."""
     param = _params_of(3)[0]
     base = RenderSession(3, width=8, height=6, backend="batch")
     load_a, adj_a = _drag(base, base.begin_edit(param), param)
@@ -348,10 +348,11 @@ def test_restart_budget_exhaustion_trips_breaker():
     edit = session.begin_edit(param, injector=injector)
     load_b = edit.load(session.controls)
     _assert_equal(load_a, load_b, "load that exhausts the budget")
-    health = P.pool_health()
+    health = session.pool.health()
     assert health["breaker"]["state"] == "open"
     assert health["restarts"] == 0  # budget forbade every respawn
     assert any(i["kind"] == "pool_degraded" for i in health["incidents"])
+    assert health["workers"]["alive"] == 0
     # While open: fork is refused, frames stay byte-identical.
     edit._executor.injector = None
     dragged = session.controls_with(
@@ -367,13 +368,15 @@ def test_restart_budget_exhaustion_trips_breaker():
     for _ in range(12):
         adj_c = edit.adjust(dragged)
         _assert_equal(adj_a, adj_c, "adjust during cooldown")
-        if P._BREAKER.state == "closed":
+        if session.pool.breaker.state == "closed":
             break
-    assert P._BREAKER.state == "closed", "probe never closed the breaker"
-    assert any(
-        i["kind"] == "pool_recovered"
-        for i in P.pool_health()["incidents"]
+    health = session.pool.health()
+    assert health["breaker"]["state"] == "closed", (
+        "probe never closed the breaker"
     )
+    assert any(i["kind"] == "pool_recovered" for i in health["incidents"])
+    assert health["workers"]["alive"] == 2
+    session.close()
 
 
 # -- failure aggregation (satellite: _gather masked later errors) ------------
@@ -411,23 +414,27 @@ def test_worker_lost_error_shape():
 
 @requires_numpy
 @requires_fork
-def test_pool_rebuild_on_count_change_leaks_nothing():
-    """Changing ``workers=`` rebuilds the pool; every old process must
-    be joined (``is_alive`` bookkeeping only — no ps scraping) and no
-    arena may survive the final shutdown."""
-    pool_a = P._get_pool(2)
-    old_procs = list(pool_a._procs)
+def test_closed_pool_leaks_nothing():
+    """Closing a pool joins every worker (``is_alive`` bookkeeping only
+    — no ps scraping) and leaves no arena; the same object forks a
+    fresh set on its next start and keeps its breaker and counters."""
+    pool = P.WorkerPool(2)
+    assert pool._procs == []  # nothing forks before the first run
+    pool.start()
+    old_procs = list(pool._procs)
     assert all(proc.is_alive() for proc in old_procs)
-    pool_b = P._get_pool(3)
-    assert pool_b is not pool_a
+    pool.breaker.trip()
+    pool.close()
     assert all(not proc.is_alive() for proc in old_procs), (
-        "old pool left live workers behind"
+        "closed pool left live workers behind"
     )
-    assert pool_a._procs == []  # shutdown cleared its process table
-    new_procs = list(pool_b._procs)
-    P.shutdown_pools()
+    assert pool._procs == [] and pool not in P._FORKED
+    pool.start()
+    assert pool.health()["workers"] == {"configured": 2, "alive": 2}
+    assert pool.breaker.state == "open"
+    new_procs = list(pool._procs)
+    pool.close()
     gc.collect()
-    assert P._POOL is None
     assert all(not proc.is_alive() for proc in new_procs)
     assert B.shm_resident_bytes() == 0
 
@@ -435,17 +442,18 @@ def test_pool_rebuild_on_count_change_leaks_nothing():
 @requires_numpy
 @requires_fork
 def test_shutdown_kills_worker_stuck_in_sleep():
-    """A worker mid-hang at shutdown time must not strand the pool:
-    the escalation ladder (sentinel, TERM, KILL) always ends with every
+    """A worker mid-hang at close time must not strand the pool: the
+    escalation ladder (sentinel, TERM, KILL) always ends with every
     child dead and the process table cleared."""
-    pool = P._get_pool(2)
+    pool = P.WorkerPool(2)
+    pool.start()
     pool.send(0, {"chaos": ("hang", 60.0), "mode": "pickle",
                   "layout": None, "jobs": [], "token": (0, 0),
                   "kernel": None})
     procs = list(pool._procs)
-    P.shutdown_pools()
+    pool.close()
     assert all(not proc.is_alive() for proc in procs)
-    assert P._POOL is None
+    assert pool._procs == []
 
 
 @pytest.mark.skipif(
@@ -486,8 +494,8 @@ def test_reclaim_orphaned_segment_of_dead_pid():
 @requires_numpy
 @requires_fork
 def test_chaos_leaves_no_segment_after_shutdown():
-    """The acceptance sweep in miniature: chaos frames, then
-    ``shutdown_pools`` — zero resident shm bytes, zero live workers."""
+    """The acceptance sweep in miniature: chaos frames, then the
+    session's ``close()`` — zero resident shm bytes, zero live workers."""
     param = _params_of(5)[0]
     injector = FaultInjector(seed=11, proc_rate=0.5, proc_kinds=("kill",))
     policy = P.PoolPolicy(deadline_ms=5000.0, max_restarts=50,
@@ -495,10 +503,63 @@ def test_chaos_leaves_no_segment_after_shutdown():
     session = _chaos_session(5, policy)
     edit = session.begin_edit(param, injector=injector)
     _drag(session, edit, param)
-    edit._executor.close()
-    procs = list(P._POOL._procs) if P._POOL is not None else []
-    P.shutdown_pools()
+    procs = list(session.pool._procs)
+    session.close()
     gc.collect()
     assert B.shm_resident_bytes() == 0
     assert all(not proc.is_alive() for proc in procs)
-    assert P.pool_health()["shm_resident_bytes"] == 0
+    assert session.pool.health()["shm_resident_bytes"] == 0
+
+
+# -- ownership: one pool per owner, no shared state --------------------------
+
+
+@requires_numpy
+@requires_fork
+def test_two_pools_share_no_state():
+    """A quarantine and a breaker trip on one session's pool leave
+    another session's pool closed, unquarantined and at zero counters."""
+    param = _params_of(3)[0]
+    policy = P.PoolPolicy(deadline_ms=5000.0, max_restarts=0,
+                          quarantine_threshold=1)
+    hit = _chaos_session(3, policy)
+    calm = _chaos_session(3, policy)
+    hit.begin_edit(
+        param, injector=ScriptedInjector({0: ("kill", None)})
+    ).load(hit.controls)
+    calm_edit = calm.begin_edit(param)
+    calm_edit.load(calm.controls)
+    assert calm_edit._executor.last_stats.pooled
+    health = hit.pool.health()
+    assert health["quarantined"] and health["breaker"]["state"] == "open"
+    other = calm.pool.health()
+    assert other["breaker"]["state"] == "closed"
+    assert other["breaker"]["trips"] == 0 and not other["quarantined"]
+    assert not any(calm.pool.counts.values())
+    assert not any(calm.pool.lost_workers.values())
+    assert not other["incidents"]
+    hit.close()
+    calm.close()
+
+
+@requires_numpy
+@requires_fork
+def test_unclosed_pool_is_still_stopped():
+    """A pool its owner never closed is stopped by the exit/signal
+    sweep (the weak registry of open pools is the only module-level
+    pool state), and a dropped one by garbage collection."""
+    from repro.runtime.lifecycle import cleanup_now
+
+    pool = P.WorkerPool(2)
+    pool.start()
+    procs = list(pool._procs)
+    assert pool in P._FORKED
+    cleanup_now()
+    assert all(not proc.is_alive() for proc in procs)
+    assert pool not in P._FORKED
+    pool.start()
+    procs = list(pool._procs)
+    del pool
+    gc.collect()
+    assert all(not proc.is_alive() for proc in procs)
+    assert not P._FORKED

@@ -375,6 +375,35 @@ class TestServiceLifecycle:
         assert service.drain() == first  # second call: cached summary
         assert not service.store.lock_files()
 
+    def test_service_owns_one_pool(self, tmp_path):
+        """Every hosted session renders on the service's one pool:
+        ``fork:2`` with three sessions is two worker processes, and
+        ``drain()`` leaves no worker, arena or segment behind."""
+        import multiprocessing
+
+        from repro.runtime import batch as B
+        from repro.runtime import parallel as P
+
+        if not P._pool_available():
+            pytest.skip("fork/shm pool unavailable")
+        prefix = "repro_shm_%d_" % os.getpid()
+        service = RenderService(
+            service_config(tmp_path, backend="batch", workers="fork:2",
+                           tile=16),
+            obs=False,
+        )
+        assert service.pool.health()["workers"]["alive"] == 0
+        for tenant in ("a", "b", "c"):
+            sid = service.create_session(tenant, 3, 8, 8)["session"]
+            service.render(sid)
+            service.render(sid)
+        assert len(multiprocessing.active_children()) == 2
+        assert service.pool.health()["runs"] == 6
+        service.drain()
+        assert multiprocessing.active_children() == []
+        assert B.shm_resident_bytes() == 0
+        assert not [f for f in os.listdir("/dev/shm") if f.startswith(prefix)]
+
     def test_inflight_gauge_ends_at_zero(self, tmp_path, monkeypatch):
         """Two renders that finish together: the gauge must show the
         count their releases left, not a count read before them."""
@@ -737,6 +766,28 @@ class TestFrameWire:
             "repro_serve_request_ms", endpoint="render"
         )
         assert count == 1 and total >= 300.0
+
+    def test_local_driver_counts_reply_encoding(self, monkeypatch):
+        """``repro slo`` / ``trace --flight`` without ``--url`` drive an
+        in-process service through the daemon's request path, so its
+        flight ``ms`` includes the reply encoding too."""
+        from repro import cli
+        from repro.serve import http as H
+
+        real_encode = H.encode_reply
+
+        def slow_encode(payload, frame=False):
+            if isinstance(payload, dict) and "colors" in payload:
+                time.sleep(0.3)
+            return real_encode(payload, frame)
+
+        monkeypatch.setattr(H, "encode_reply", slow_encode)
+        service, store_dir = cli._drive_local_service(SHADER, SIZE, 1)
+        try:
+            (entry,) = service.flight.entries()
+            assert entry["ms"] >= 300.0
+        finally:
+            cli._cleanup_local_service(service, store_dir)
 
 
 class TestHealthCLI:

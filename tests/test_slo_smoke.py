@@ -3,21 +3,19 @@
 
 An in-process :class:`~repro.serve.service.RenderService` (fork workers
 when NumPy and the fork start method are available) serves a burst of
-renders through the same request-id / span-mark / observe plumbing the
-HTTP layer uses.  Every request succeeds, the SLO tracker counts every
-one with a finite burn rate and populated p50/p99, nothing is shed,
-and with fork workers the merged trace carries worker-side spans.
+renders through the HTTP layer's own request path
+(:func:`repro.serve.http.serve_request`).  Every request succeeds, the
+SLO tracker counts every one with a finite burn rate and populated
+p50/p99, nothing is shed, and with fork workers the merged trace
+carries worker-side spans.
 """
-
-import time
 
 import pytest
 
-from repro.obs.trace import request_context
 from repro.runtime import batch as B
 from repro.runtime import parallel as P
 from repro.serve import RenderService, ServiceConfig
-from repro.serve.service import ServiceError
+from repro.serve.http import serve_request
 
 SHADER = 1
 SIZE = 16
@@ -25,32 +23,17 @@ REQUESTS = 12
 
 
 def _drive(service):
-    """The HTTP layer's per-request plumbing, without sockets."""
+    """The HTTP layer's request path (:func:`serve_request`), without
+    sockets."""
     sid = service.create_session("slo-smoke", SHADER, SIZE, SIZE)["session"]
-    statuses = []
-    for _ in range(REQUESTS):
-        rid = service.mint_request_id()
-        mark = service.span_mark()
-        started = time.monotonic()
-        status, body = 200, {}
-        with request_context(rid):
-            with service.obs.span(
-                "serve.request", method="POST",
-                path="/sessions/%s/render" % sid,
-            ) as span:
-                try:
-                    body = service.render(sid)
-                except ServiceError as err:
-                    status = err.status
-                span.set(endpoint="render", status=status)
-            service.observe(
-                "render", status, (time.monotonic() - started) * 1000.0,
-                request_id=rid, tenant="slo-smoke", span_mark=mark,
-                session=sid, rung=body.get("rung"),
-                phase=body.get("phase"),
-            )
-        statuses.append(status)
-    return statuses
+    return [
+        serve_request(
+            service, "POST", "/sessions/%s/render" % sid,
+            lambda: ("render", 200, service.render(sid), {}),
+            tenant="slo-smoke",
+        )[0]
+        for _ in range(REQUESTS)
+    ]
 
 
 @pytest.mark.slosmoke
@@ -59,8 +42,6 @@ def test_slo_tracker_counts_every_render(tmp_path):
     knobs = {"flight_slow_ms": 0.0}
     if fork:
         knobs.update(backend="batch", workers="fork:2", tile=64)
-    P._discard_pool()
-    P.reset_pool_state()
     service = RenderService(ServiceConfig(store_dir=str(tmp_path), **knobs))
     try:
         assert _drive(service) == [200] * REQUESTS
@@ -68,8 +49,6 @@ def test_slo_tracker_counts_every_render(tmp_path):
         totals = service.obs.tracer.stage_totals()
     finally:
         service.drain()
-        P._discard_pool()
-        P.reset_pool_state()
 
     objectives = {o["name"]: o["lifetime"] for o in report["objectives"]}
     render = objectives["render_latency"]

@@ -154,6 +154,66 @@ class TestCircuitBreaker:
             pass
         breaker.record(bad=True, probe=True)
 
+    def _schedule(self, policy):
+        """``(probe_at, cooldown, reopens)`` after each step of a fixed
+        script: trip, three bad probes, an inconclusive probe, a good
+        probe, a second trip, one more bad probe."""
+        breaker = CircuitBreaker(("s", "p"), policy)
+        steps = []
+
+        def probe(bad, specialized=True):
+            while breaker.route() != ("specialized", True):
+                pass
+            breaker.record(bad=bad, probe=True, specialized=specialized)
+
+        def note():
+            steps.append(
+                (breaker.probe_at, breaker.last_cooldown, breaker.reopens)
+            )
+
+        self._trip(breaker)
+        note()
+        for _ in range(3):
+            probe(bad=True)
+            note()
+        probe(bad=False, specialized=False)
+        note()
+        probe(bad=False)
+        note()
+        self._trip(breaker)
+        note()
+        probe(bad=True)
+        note()
+        return steps
+
+    # Recorded from the supervisor breaker before the pool breaker was
+    # merged into it: the merge must not move a single probe.
+    PINNED = {
+        0: [(5, 3, 0), (10, 5, 1), (20, 10, 2), (40, 20, 3), (62, 22, 3),
+            (None, 22, 0), (67, 3, 0), (72, 5, 1)],
+        7: [(4, 2, 0), (8, 4, 1), (16, 8, 2), (34, 18, 3), (55, 21, 3),
+            (None, 21, 0), (59, 2, 0), (65, 6, 1)],
+        42: [(5, 3, 0), (11, 6, 1), (19, 8, 2), (41, 22, 3), (63, 22, 3),
+             (None, 22, 0), (67, 2, 0), (71, 4, 1)],
+    }
+    # The cap bounds the backed-off cooldown before jitter is added.
+    PINNED_CAPPED = {
+        0: [(6, 4, 0), (13, 7, 1), (26, 13, 2), (38, 12, 3), (52, 14, 3),
+            (None, 14, 0), (58, 4, 0), (66, 8, 1)],
+        7: [(5, 3, 0), (11, 6, 1), (21, 10, 2), (32, 11, 3), (45, 13, 3),
+            (None, 13, 0), (51, 4, 0), (59, 8, 1)],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_schedule_is_pinned(self, seed):
+        assert self._schedule(_policy(seed=seed)) == self.PINNED[seed]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_CAPPED))
+    def test_capped_schedule_is_pinned(self, seed):
+        policy = _policy(seed=seed, breaker_cooldown=3,
+                         breaker_cooldown_cap=10)
+        assert self._schedule(policy) == self.PINNED_CAPPED[seed]
+
 
 def _ok(colors=("c",), cost=10):
     return lambda cap: (list(colors), cost)

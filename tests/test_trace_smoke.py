@@ -78,15 +78,7 @@ def test_traced_drag_is_identical_and_covered(backend):
     reason="needs numpy and the fork start method",
 )
 def test_traced_fork_drag_is_identical_and_covered():
-    P._discard_pool()
-    P.reset_pool_state()
-    try:
-        totals = _assert_traced_run_covered(
-            "batch", workers="fork:2", tile=256
-        )
-    finally:
-        P._discard_pool()
-        P.reset_pool_state()
+    totals = _assert_traced_run_covered("batch", workers="fork:2", tile=256)
     assert totals.get("worker.tile", {}).get("count", 0) > 0
 
 
