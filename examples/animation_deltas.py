@@ -62,7 +62,7 @@ def main(outdir="out_animation"):
         print(
             "frame %d (haze=%.2f): %s path, %d/%d slots, cost %d "
             "(full load was %d)"
-            % (index, value, edit._last_load_path, len(dirty),
+            % (index, value, edit.last_path, len(dirty),
                len(spec.layout), frame.total_cost, full_cost)
         )
         save(index, frame)
@@ -83,7 +83,7 @@ def main(outdir="out_animation"):
         print(
             "frame %d (sun step %d): %s path, %d/%d slots, cost %d "
             "(full load was %d)"
-            % (index, step + 1, edit._last_load_path, len(dirty),
+            % (index, step + 1, edit.last_path, len(dirty),
                len(spec.layout), frame.total_cost, full_cost)
         )
         save(index, frame)

@@ -39,8 +39,9 @@ def main(outdir="out_interactive"):
         print("    slot%-2d %-5s %s" % (slot.index, slot.ty, slot.source))
     print()
 
-    # Frame 0: the loader pass (fills every pixel's cache).
-    frame = edit.load(session.controls)
+    # Frame 0: no cache yet, so frame() runs the loader pass (fills
+    # every pixel's cache).
+    frame = edit.frame(session.controls)
     reference = session.render_reference(specialization=spec)
     print("frame 0 (loader): cost/pixel %.0f  (original shader: %.0f)"
           % (frame.cost_per_pixel, reference.cost_per_pixel))
@@ -48,10 +49,10 @@ def main(outdir="out_interactive"):
     with open(path, "w") as handle:
         handle.write(frame.to_ppm())
 
-    # Subsequent frames: reader only.
+    # Subsequent frames move only the dragged slider: reader only.
     for i, value in enumerate([6.0, 9.0, 12.0, 2.0], start=1):
         controls = session.controls_with(**{param: value})
-        frame = edit.adjust(controls)
+        frame = edit.frame(controls)
         reference = session.render_reference(controls, specialization=spec)
         speedup = reference.cost_per_pixel / frame.cost_per_pixel
         print("frame %d (%s=%4.1f): cost/pixel %.0f vs %.0f  -> %.1fx"
@@ -65,9 +66,9 @@ def main(outdir="out_interactive"):
     print("wrote frames to %s/" % outdir)
     print("now drag a light instead (affects nearly everything):")
     edit2 = session.begin_edit("lightx")
-    edit2.load(session.controls)
+    edit2.frame(session.controls)
     controls = session.controls_with(lightx=-2.0)
-    frame = edit2.adjust(controls)
+    frame = edit2.frame(controls)
     reference = session.render_reference(controls, specialization=edit2.specialization)
     print("  lightx frame: cost/pixel %.0f vs %.0f -> %.1fx "
           "(lower, as the paper observes for light-position edits)"

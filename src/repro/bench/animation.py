@@ -183,7 +183,7 @@ def animate(shader_index=DEFAULT_SHADER, param=DEFAULT_PARAM,
             )
             frames.append(
                 AnimationFrame(
-                    segment, kind, edited, inc_edit._last_load_path,
+                    segment, kind, edited, inc_edit.last_path,
                     inc_frame.total_cost, full_frame.total_cost,
                 )
             )

@@ -135,24 +135,17 @@ def simulate_session(shader_index, script=None, width=6, height=6,
     frames = []
     for segment, (param, values) in enumerate(script):
         edit = install.edit(param)
-        first, rest = values[0], values[1:]
-        controls = session.controls_with(**{param: first})
-        loaded = edit.load(controls)
-        reference = session.render_reference(
-            controls, specialization=edit.specialization
-        )
-        frames.append(
-            FrameRecord(segment, param, first, "load",
-                        loaded.total_cost, reference.total_cost)
-        )
-        for value in rest:
+        for value in values:
             controls = session.controls_with(**{param: value})
-            frame = edit.adjust(controls)
+            frame = edit.frame(controls)
             reference = session.render_reference(
                 controls, specialization=edit.specialization
             )
             frames.append(
-                FrameRecord(segment, param, value, "read",
-                            frame.total_cost, reference.total_cost)
+                FrameRecord(
+                    segment, param, value,
+                    "read" if edit.last_path == "adjust" else "load",
+                    frame.total_cost, reference.total_cost,
+                )
             )
     return SessionTrace(shader_index, frames)

@@ -324,8 +324,8 @@ def cmd_render(args, out):
         )
     except SourceError as exc:
         raise SystemExit("specialization failed: %s" % exc)
-    image = edit.load(session.controls)
-    adjusted = edit.adjust(
+    image = edit.frame(session.controls)
+    adjusted = edit.frame(
         session.controls_with(**{param: session.controls[param] * 1.25})
     )
     incremental = None
@@ -342,11 +342,11 @@ def cmd_render(args, out):
         controls = session.controls_with(**{
             edited: value * 1.25 if isinstance(value, float) else value + 1
         })
-        reloaded = edit.load(controls)
+        reloaded = edit.frame(controls)
         dirty = spec.dirty_slots({edited})
         incremental = {
             "edited": edited,
-            "path": edit._last_load_path,
+            "path": edit.last_path,
             "load_cost": reloaded.total_cost,
             "dirty_slots": sorted(dirty),
             "total_slots": len(spec.layout),
@@ -528,7 +528,7 @@ def cmd_health(args, out):
     )
     param = args.param or session.spec_info.control_params[0]
     edit = session.begin_edit(param, injector=_chaos_injector(args))
-    edit.load(session.controls)
+    edit.frame(session.controls)
     # Corrupt caches over the first half of the drag, then stop — the
     # report shows the breaker tripping and the probe recovery.
     corrupt_until = args.drags // 2 if args.corrupt_rate > 0.0 else 0
@@ -538,7 +538,7 @@ def cmd_health(args, out):
                 seed=args.inject_seed + i, cache_rate=args.corrupt_rate
             ).corrupt_caches(edit.caches)
         value = session.controls[param] * (1.0 + 0.05 * (i + 1))
-        edit.adjust(session.controls_with(**{param: value}))
+        edit.frame(session.controls_with(**{param: value}))
     snapshot = session.supervisor.health()
     native_section = native.report()
     if args.json:
@@ -765,10 +765,10 @@ def cmd_trace(args, out):
         edit = session.begin_edit(param)
     except SourceError as exc:
         raise SystemExit("specialization failed: %s" % exc)
-    edit.load(session.controls)
+    edit.frame(session.controls)
     for i in range(args.adjusts):
         value = session.controls[param] * (1.0 + 0.05 * (i + 1))
-        edit.adjust(session.controls_with(**{param: value}))
+        edit.frame(session.controls_with(**{param: value}))
     obs.merge_stage_metrics()
     out.write(
         "shader %d (%s): %dx%d via %s backend, drag %r — "
@@ -814,8 +814,8 @@ def cmd_stats(args, out):
         for param in session.spec_info.control_params:
             if args.render:
                 edit = session.begin_edit(param)
-                edit.load(session.controls)
-                edit.adjust(session.controls_with(
+                edit.frame(session.controls)
+                edit.frame(session.controls_with(
                     **{param: session.controls[param] * 1.25}
                 ))
             else:

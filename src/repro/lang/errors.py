@@ -62,6 +62,17 @@ class ArtifactError(SpecializationError):
     """
 
 
+class StaleCacheError(SpecializationError):
+    """Raised when a reader run is asked for controls whose invariant
+    inputs differ from the ones the caches were loaded under.
+
+    This is the Section 2 contract seen from the interactive side: the
+    reader may only run against caches built by the matching loader
+    under the same invariant inputs.  Subclasses
+    :class:`SpecializationError` so existing handlers keep working.
+    """
+
+
 class SupervisionError(SpecializationError):
     """Raised when a supervised render request exhausts every rung of
     the degradation ladder (specialized kernels, the unspecialized

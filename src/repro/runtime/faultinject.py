@@ -43,8 +43,10 @@ CACHE_MODES = ("clear", "nan", "inf")
 #: then reply correctly), ``garbled`` (send an unparseable reply).
 PROC_KINDS = ("kill", "hang", "slow", "garbled")
 
-#: Default hang length: comfortably past any sane PoolPolicy deadline
-#: (the parent SIGKILLs the sleeper, so the sleep never completes).
+#: Default hang length.  The dispatching pool stretches it to at least
+#: twice its ``PoolPolicy.deadline_ms``, so a hang always outlasts the
+#: deadline (the parent SIGKILLs the sleeper, so the sleep never
+#: completes); with deadlines off the worker sleeps exactly this long.
 DEFAULT_HANG_S = 30.0
 
 #: Default slow-reply delay: long enough to be a real stall relative to

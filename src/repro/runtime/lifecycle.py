@@ -7,13 +7,12 @@ A daemon killed with SIGTERM/SIGINT never reaches ``atexit``: warm
 workers are orphaned and ``repro_shm_*`` segments leak until the next
 startup recovery.  This module closes that gap:
 
-* :func:`cleanup_now` — run every registered drain hook once, then the
-  resource sweeps.  Idempotent: hooks run exactly once per
-  registration, and the sweeps themselves tolerate repetition (calling
-  ``cleanup_now`` twice, or racing it against ``atexit``, is safe).
+* :func:`cleanup_now` — run the resource sweeps.  Idempotent: the
+  sweeps tolerate repetition (calling ``cleanup_now`` twice, or racing
+  it against ``atexit``, is safe).
 * :func:`install_signal_cleanup` — SIGTERM/SIGINT handlers.  Without a
-  callback the handler drains, sweeps, restores the previous
-  disposition, and re-delivers the signal, so the process still dies
+  callback the handler sweeps, restores the previous disposition, and
+  re-delivers the signal, so the process still dies
   *by* the signal (honest exit status for service managers).  With a
   callback (the ``repro serve`` daemon) the signal is handed to it
   instead — the daemon owns its graceful-drain sequencing and exits 0.
@@ -29,46 +28,17 @@ import signal
 import threading
 
 _LOCK = threading.Lock()
-_DRAIN_HOOKS = []
 _PREVIOUS = {}
 #: Number of completed cleanup sweeps (observability + tests).
 cleanups = 0
 
 
-def on_shutdown(hook):
-    """Register a drain hook to run (once) before the resource sweeps.
-
-    Hooks run in registration order; a hook that raises is dropped and
-    does not block the sweeps or later hooks.  Returns ``hook`` so it
-    can be used as a decorator."""
-    with _LOCK:
-        _DRAIN_HOOKS.append(hook)
-    return hook
-
-
-def remove_shutdown_hook(hook):
-    """Unregister a drain hook (sessions closing cleanly themselves)."""
-    with _LOCK:
-        try:
-            _DRAIN_HOOKS.remove(hook)
-        except ValueError:
-            pass
-
-
 def cleanup_now():
-    """Drain hooks (each once), then the idempotent resource sweeps:
-    stop every worker pool no owner closed, unlink every live
-    shared-memory arena, and reclaim segments orphaned by dead
-    processes.  Returns the number of cleanup sweeps completed so far
-    (including this one)."""
+    """The idempotent resource sweeps: stop every worker pool no owner
+    closed, unlink every live shared-memory arena, and reclaim segments
+    orphaned by dead processes.  Returns the number of cleanup sweeps
+    completed so far (including this one)."""
     global cleanups
-    with _LOCK:
-        hooks, _DRAIN_HOOKS[:] = list(_DRAIN_HOOKS), []
-    for hook in hooks:
-        try:
-            hook()
-        except Exception:  # a failing drain must not block the sweeps
-            pass
     # Imported lazily so importing lifecycle never drags in NumPy/shm.
     from .batch import reclaim_orphaned_segments, release_all_arenas
     from .parallel import close_open_pools

@@ -1369,8 +1369,15 @@ class TileExecutor(object):
         if injector is None:
             return
         fault = injector.proc_fault(next(self._chaos_seq))
-        if fault is not None:
-            payload["chaos"] = fault
+        if fault is None:
+            return
+        kind, seconds = fault
+        deadline_ms = self.pool.policy.deadline_ms
+        if kind == "hang" and deadline_ms is not None:
+            # A hang must outlast the deadline, or whether it counts as
+            # a lost worker races the sleeper waking up to reply.
+            seconds = max(seconds, 2.0 * deadline_ms / 1000.0)
+        payload["chaos"] = (kind, seconds)
 
     def _recv_reply(self, pool, worker, deadline_s, poll_s):
         """One validated ``(status, value, spans)`` reply; an

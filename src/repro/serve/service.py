@@ -281,7 +281,6 @@ class HostedSession(object):
         self.lock = threading.Lock()
         self.edit = None
         self.param = None
-        self.loaded = False
         self.created = created
         self.last_used = created
         self.frames = 0
@@ -290,7 +289,6 @@ class HostedSession(object):
         if self.edit is not None:
             self.edit.close()
             self.edit = None
-        self.loaded = False
 
     def describe(self, now):
         return {
@@ -541,9 +539,12 @@ class RenderService(object):
             }
 
     def render(self, session_id, param=None, controls=None):
-        """Serve one frame: the drag's first render runs the loader
-        (builds the per-pixel caches), subsequent renders run the
-        reader — exactly the paper's load/adjust split."""
+        """Serve one frame through :meth:`EditSession.frame`: the
+        loader runs on the drag's first render and whenever a
+        non-dragged control moves, the reader otherwise — the paper's
+        load/adjust split.  The reply's ``phase`` is ``load`` or
+        ``adjust``; ``path`` is ``full``, ``delta``, ``noop`` or
+        ``adjust``."""
         self._check_draining()
         hosted = self._get(session_id)
         try:
@@ -564,15 +565,14 @@ class RenderService(object):
         session = hosted.session
         merged = self._merge_controls(session, controls)
         edit = self._ensure_edit(hosted, param)
-        phase = "adjust" if hosted.loaded else "load"
-        image = edit.load(merged) if phase == "load" else edit.adjust(merged)
-        hosted.loaded = True
+        image = edit.frame(merged)
         hosted.frames += 1
         return {
             "session": hosted.id,
             "shader": session.spec_info.name,
             "param": hosted.param,
-            "phase": phase,
+            "phase": "adjust" if edit.last_path == "adjust" else "load",
+            "path": edit.last_path,
             "rung": edit.last_rung,
             "width": image.width,
             "height": image.height,
@@ -602,7 +602,6 @@ class RenderService(object):
         except SpecializationError as err:
             raise ServiceError(str(err))
         hosted.param = param
-        hosted.loaded = False
         return hosted.edit
 
     @staticmethod

@@ -7,8 +7,10 @@ reader as the slider moves.  ``RenderSession`` reproduces that loop:
 
 * ``render_reference``  — run the plain shader over the image,
 * ``begin_edit(param)`` — specialize on the partition where ``param``
-  varies, then run the loader once per pixel to build the cache array,
-* ``adjust(value)``     — run the reader per pixel with the new value.
+  varies,
+* ``frame(controls)``   — run the loader once per pixel to build the
+  cache array when no cache exists or an invariant control changed,
+  and otherwise run the reader per pixel with the new values.
 
 All runs are metered, so a session reports exactly the per-pixel
 costs the paper's figures are built from.
@@ -16,11 +18,14 @@ costs the paper's figures are built from.
 
 from __future__ import annotations
 
+import struct
 import time
 import weakref
 
 from ..core.specializer import DataSpecializer
-from ..lang.errors import DeadlineError, SpecializationError, SupervisionError
+from ..lang.errors import (
+    DeadlineError, SpecializationError, StaleCacheError, SupervisionError,
+)
 from ..lang.parser import parse_program
 from ..obs import resolve_obs
 from ..obs.schema import canonical_rung
@@ -41,6 +46,8 @@ from .sources import SHADERS, shader_program_source
 #: the cache costs about as much as a full load, but adds the reader
 #: pass on top.
 MAX_DIRTY_FRACTION = 0.8
+
+_float_bits = struct.Struct("<d").pack
 
 
 class Image(object):
@@ -145,15 +152,20 @@ class EditSession(object):
             incremental if incremental is not None
             else render_session.incremental
         )
-        #: How the most recent :meth:`load` was served: ``"full"``,
-        #: ``"delta"`` (sliced refill), or ``"noop"`` (only varying
-        #: parameters changed; reader re-run on the existing cache).
-        self._last_load_path = None
+        #: How the most recent frame was served: ``"full"`` load,
+        #: ``"delta"`` (sliced refill), ``"noop"`` (no cache slot
+        #: dirtied; reader re-run on the existing cache), or
+        #: ``"adjust"`` (reader only).
+        self.last_path = None
         #: Ladder rung that served the most recent supervised request
         #: (None when unsupervised).
         self.last_rung = None
         self._load_rung = None
         self._load_controls = None
+        self._invariants = tuple(
+            name for name in render_session.spec_info.control_params
+            if name not in specialization.varying
+        )
         self._interp = None
         self._loader_kernel = None
         self._variant_kernels = {}
@@ -185,6 +197,14 @@ class EditSession(object):
             return self.table.layout.size_bytes
         return self.specialization.cache_size_bytes
 
+    def frame(self, controls):
+        """Serve one frame: :meth:`load` when no cache exists or an
+        invariant control changed since the last load, else
+        :meth:`adjust`.  :attr:`last_path` says which path ran."""
+        if not self._loaded() or self._changed_invariants(controls):
+            return self.load(controls)
+        return self.adjust(controls)
+
     def load(self, controls):
         """Run the loader for every pixel; returns the resulting Image."""
         if not self.obs.enabled:
@@ -198,13 +218,26 @@ class EditSession(object):
             image = self._load_frame(controls)
             span.set(
                 cost=image.total_cost, rung=self._rung_label(),
-                path=self._last_load_path or "full",
+                path=self.last_path,
             )
         self._record_frame("load", image)
         return image
 
     def adjust(self, controls):
-        """Run the reader for every pixel with updated controls."""
+        """Run the reader for every pixel with updated controls.
+
+        Raises :class:`~repro.lang.errors.SpecializationError` before
+        the first load and :class:`~repro.lang.errors.StaleCacheError`
+        when an invariant control differs from the loaded ones."""
+        if not self._loaded():
+            raise SpecializationError("adjust() before load()")
+        changed = self._changed_invariants(controls)
+        if changed:
+            raise StaleCacheError(
+                "adjust() with invariant controls changed since load(): %s"
+                % ", ".join(sorted(changed))
+            )
+        self.last_path = "adjust"
         if not self.obs.enabled:
             return self._adjust_frame(controls)
         with self.obs.span(
@@ -223,7 +256,7 @@ class EditSession(object):
             image = self._incremental_load(controls)
             if image is not None:
                 return image
-        self._last_load_path = "full"
+        self.last_path = "full"
         if self.supervisor is not None:
             return self._supervised_load(controls)
         if self.guard is not None:
@@ -240,8 +273,6 @@ class EditSession(object):
     def _adjust_frame(self, controls):
         if self.supervisor is not None:
             return self._supervised_adjust(controls)
-        if self.caches is None:
-            raise SpecializationError("adjust() before load()")
         if self.backend == "batch":
             colors, total = self._adjust_batch(controls)
         else:
@@ -251,6 +282,24 @@ class EditSession(object):
     def _image(self, colors, total):
         scene = self.render_session.scene
         return Image(scene.width, scene.height, colors, total)
+
+    def _loaded(self):
+        """Whether a load has committed controls the reader can run
+        under.  A supervised drag may hold no caches (a degraded load
+        left none); its first specialized rung rebuilds them from the
+        load controls."""
+        if self._load_controls is None:
+            return False
+        return self.caches is not None or self.supervisor is not None
+
+    def _changed_invariants(self, controls):
+        """The invariant controls whose float64 bit patterns differ from
+        the last load's (so NaN matches NaN and 0.0 differs from -0.0)."""
+        previous = self._load_controls
+        return {
+            name for name in self._invariants
+            if _float_bits(controls[name]) != _float_bits(previous[name])
+        }
 
     # -- incremental loads ---------------------------------------------------
 
@@ -280,13 +329,7 @@ class EditSession(object):
                 # Suspect caches: the half-open probe must rebuild from
                 # scratch via the fully supervised full-load ladder.
                 return None
-        previous = self._load_controls
-        changed = set()
-        for name in self.render_session.spec_info.control_params:
-            if controls.get(name) != previous.get(name):
-                changed.add(name)
-        changed -= set(spec.varying)
-        dirty = spec.dirty_slots(changed)
+        dirty = spec.dirty_slots(self._changed_invariants(controls))
         total_slots = len(spec.layout)
         fraction = (len(dirty) / float(total_slots)) if total_slots else 0.0
         if fraction > MAX_DIRTY_FRACTION:
@@ -323,7 +366,7 @@ class EditSession(object):
         total = delta_cost + reader_cost
         self.load_cost = total
         self._load_controls = dict(controls)
-        self._last_load_path = "delta" if dirty else "noop"
+        self.last_path = "delta" if dirty else "noop"
         if self.obs.enabled:
             elapsed = time.perf_counter() - start
             if elapsed > 0.0:
@@ -899,8 +942,6 @@ class EditSession(object):
     def _supervised_adjust(self, controls):
         supervisor = self.supervisor
         session = self.render_session
-        if self.caches is None and self._load_rung is None:
-            raise SpecializationError("adjust() before load()")
 
         def lkg_rung(cap):
             colors = supervisor.last_known_good(self._key(), "adjust")

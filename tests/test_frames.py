@@ -171,7 +171,7 @@ def test_every_batch_path_returns_a_color_column():
               edit.adjust(session.controls_with(kd=0.5)),
               edit.load(session.controls_with(red=0.3)),
               session.render_reference()]
-    assert edit._last_load_path == "delta"
+    assert edit.last_path == "delta"
     scalar = RenderSession(1, width=4, height=3, backend="scalar")
     scalar_edit = scalar.begin_edit("kd")
     frames.append(scalar_edit.load(scalar.controls))
@@ -188,21 +188,23 @@ def _frozen(image):
 
 
 def _drag_and_edit(session, param, other):
-    """Load, adjust, delta-refill and adjust again on one drag; returns
-    every frame with a bit snapshot taken when it was served."""
+    """Load, adjust, delta-refill, adjust, and delta-refill again (the
+    last step moves ``other`` back) on one drag, each through
+    ``frame``; returns every frame with a bit snapshot taken when it
+    was served."""
     edit = session.begin_edit(param)
     frames = []
     base = session.controls
     steps = [
-        ("load", base),
-        ("adjust", session.controls_with(**{param: base[param] * 1.5})),
-        ("load", session.controls_with(**{other: base[other] * 0.5})),
-        ("adjust", session.controls_with(
-            **{param: base[param] * 0.5, other: base[other] * 0.5})),
-        ("adjust", session.controls_with(**{param: base[param] * 2.0})),
+        base,
+        session.controls_with(**{param: base[param] * 1.5}),
+        session.controls_with(**{other: base[other] * 0.5}),
+        session.controls_with(
+            **{param: base[param] * 0.5, other: base[other] * 0.5}),
+        session.controls_with(**{param: base[param] * 2.0}),
     ]
-    for phase, controls in steps:
-        image = getattr(edit, phase)(controls)
+    for controls in steps:
+        image = edit.frame(controls)
         frames.append((image, _frozen(image)))
     return edit, frames
 
@@ -216,7 +218,7 @@ def test_returned_frames_stay_unchanged(workers):
                             workers=workers, tile=tile, incremental=True)
     edit, frames = _drag_and_edit(session, "veinfreq", "b1")
     try:
-        assert edit._last_load_path == "delta"
+        assert edit.last_path == "delta"
         if workers == "fork:2" and B.HAVE_SHM:
             assert edit._executor.last_stats.transport == "shm"
         for image, snapshot in frames:

@@ -82,8 +82,8 @@ def test_delta_refill_matches_full_load(index, backend):
     for controls in _edit_steps(full, param):
         a = full_edit.load(controls)
         b = inc_edit.load(controls)
-        assert inc_edit._last_load_path in ("delta", "noop", "full")
-        took_delta = took_delta or inc_edit._last_load_path == "delta"
+        assert inc_edit.last_path in ("delta", "noop", "full")
+        took_delta = took_delta or inc_edit.last_path == "delta"
         assert a.colors == b.colors, (
             "shader %d %s: delta frame diverges" % (index, backend)
         )
@@ -108,7 +108,7 @@ def test_noop_path_for_varying_only_edit():
     controls = full.controls_with(veinfreq=full.controls["veinfreq"] * 1.5)
     a = full_edit.load(controls)
     b = inc_edit.load(controls)
-    assert inc_edit._last_load_path == "noop"
+    assert inc_edit.last_path == "noop"
     assert a.colors == b.colors
 
 
@@ -179,7 +179,7 @@ def test_shm_delta_refill_splices_dirty_columns_only():
 
     a = serial_edit.load(controls)
     b = shm_edit.load(controls)
-    assert shm_edit._last_load_path == "delta"
+    assert shm_edit.last_path == "delta"
     assert a.colors == b.colors, "shm delta frame: colors differ"
     for k in clean:
         assert shm_edit.caches.columns[k] is before[k], (
@@ -218,7 +218,7 @@ def test_injector_disables_delta_path():
     edit.load(inc.controls)
     controls = _edit_steps(inc, "veinfreq", count=1)[0]
     edit.load(controls)
-    assert edit._last_load_path == "full"
+    assert edit.last_path == "full"
 
 
 def test_supervised_delta_parity():
@@ -235,7 +235,7 @@ def test_supervised_delta_parity():
             a = full_edit.load(controls)
             b = inc_edit.load(controls)
             assert a.colors == b.colors
-            if inc_edit._last_load_path == "delta":
+            if inc_edit.last_path == "delta":
                 assert inc_edit.last_rung == backend
 
 
@@ -269,7 +269,7 @@ def test_delta_kernel_fault_falls_back_to_full_load():
         steps = _edit_steps(full, "veinfreq", count=2)
         a = full_edit.load(steps[0])
         b = inc_edit.load(steps[0])
-        assert inc_edit._last_load_path == "full"
+        assert inc_edit.last_path == "full"
         _assert_frames_equal(a, b, "fallback frame")
         # The fallback rebuilt healthy caches: a plain adjust works.
         dragged = dict(
@@ -295,7 +295,7 @@ def test_corrupt_cache_falls_back_to_full_load():
     controls = _edit_steps(full, "veinfreq", count=1)[0]
     a = full_edit.load(controls)
     b = inc_edit.load(controls)
-    assert inc_edit._last_load_path == "full"
+    assert inc_edit.last_path == "full"
     _assert_frames_equal(a, b, "recovered frame")
 
 
@@ -309,7 +309,7 @@ def test_dirty_fraction_threshold_forces_full_load(monkeypatch):
     edit.load(inc.controls)
     controls = _edit_steps(inc, "veinfreq", count=1)[0]
     edit.load(controls)
-    assert edit._last_load_path == "full"
+    assert edit.last_path == "full"
 
 
 # -- dependence map / specializer API ------------------------------------
@@ -365,7 +365,7 @@ def test_installation_edit_passes_incremental():
     assert edit.incremental
     edit.load(install.session.controls)
     edit.load(_edit_steps(install.session, "veinfreq", count=1)[0])
-    assert edit._last_load_path in ("delta", "noop")
+    assert edit.last_path in ("delta", "noop")
 
 
 # -- persistence ---------------------------------------------------------

@@ -57,8 +57,8 @@ def test_delta_refill_beats_full_load(shader, param):
         start = time.perf_counter()
         inc_frame = inc_edit.load(controls)
         delta_seconds = min(delta_seconds, time.perf_counter() - start)
-        assert inc_edit._last_load_path == "delta", (
-            "edit of %r took the %r path" % (edited, inc_edit._last_load_path)
+        assert inc_edit.last_path == "delta", (
+            "edit of %r took the %r path" % (edited, inc_edit.last_path)
         )
         assert inc_frame.colors == full_frame.colors, (
             "delta refill diverges from full load on %r" % edited

@@ -182,6 +182,30 @@ def test_hung_worker_detected_by_deadline():
 
 @requires_numpy
 @requires_fork
+def test_hang_as_long_as_the_deadline_is_always_lost():
+    """A planted hang no longer than the pool deadline still outlasts
+    it (the pool stretches the sleep to twice the deadline), so it is
+    typed ``"hang"`` on every run instead of racing the deadline."""
+    param = _params_of(3)[0]
+    base = RenderSession(3, width=8, height=6, backend="batch")
+    load_a, adj_a = _drag(base, base.begin_edit(param), param)
+    for run in range(3):
+        injector = ScriptedInjector({0: ("hang", 0.3)})
+        policy = P.PoolPolicy(deadline_ms=300.0, quarantine_threshold=99)
+        session = _chaos_session(3, policy)
+        try:
+            edit = session.begin_edit(param, injector=injector)
+            load_b, adj_b = _drag(session, edit, param)
+            _assert_equal(load_a, load_b, "run %d: hang-recovered load" % run)
+            _assert_equal(adj_a, adj_b, "run %d: adjust after recovery" % run)
+            lost = session.pool.health()["lost_workers"]
+            assert lost["hang"] == 1, "run %d: %r" % (run, lost)
+        finally:
+            session.close()
+
+
+@requires_numpy
+@requires_fork
 def test_garbled_reply_is_typed_and_recovered():
     """An unparseable reply means the pipe framing can no longer be
     trusted: the worker is written off as ``"garbled"`` and replaced."""

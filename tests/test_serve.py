@@ -500,6 +500,69 @@ def http_service(tmp_path):
         thread.join(timeout=5.0)
 
 
+#: Drag ``veinfreq`` on shader 3, move the non-dragged ``b1`` (no
+#: ``param``), then drag once more: (request controls, phase, path).
+NON_DRAGGED_MOVE = [
+    ({}, "load", "full"),
+    ({"veinfreq": 7.0}, "adjust", "adjust"),
+    ({"b1": 0.9}, "load", "full"),
+    ({"b1": 0.9, "veinfreq": 9.0}, "adjust", "adjust"),
+]
+
+
+def assert_non_dragged_move_is_fresh(render):
+    """Every reply of :data:`NON_DRAGGED_MOVE` through ``render(param,
+    controls)`` carries exactly ``render_reference``'s colour bits, and
+    the ``phase`` and ``path`` the move calls for."""
+    np = pytest.importorskip("numpy")
+    reference = RenderSession(3, width=SIZE, height=SIZE)
+    replies = [
+        render("veinfreq" if step == 0 else None, controls)
+        for step, (controls, _, _) in enumerate(NON_DRAGGED_MOVE)
+    ]
+    for reply, (controls, _, _) in zip(replies, NON_DRAGGED_MOVE):
+        want = reference.render_reference(
+            reference.controls_with(**controls)
+        ).colors
+        got = np.asarray(reply["colors"], dtype=np.float64)
+        assert got.view(np.uint64).tolist() == np.asarray(
+            want
+        ).view(np.uint64).tolist(), "stale colours after %r" % (controls,)
+    assert [(r["phase"], r.get("path")) for r in replies] == [
+        (phase, path) for _, phase, path in NON_DRAGGED_MOVE
+    ]
+
+
+class TestNonDraggedMove:
+    """A move of a control other than the dragged one reloads the
+    caches: the reader never answers from a cache built under other
+    invariant controls."""
+
+    def test_in_process(self, tmp_path):
+        service = RenderService(service_config(tmp_path), obs=False)
+        sid = service.create_session("t", 3, SIZE, SIZE)["session"]
+        try:
+            assert_non_dragged_move_is_fresh(
+                lambda param, controls: service.render(
+                    sid, param=param, controls=controls
+                )
+            )
+        finally:
+            service.drain()
+
+    def test_over_http_with_frame_accept(self, http_service):
+        _, client = http_service
+        sid = client.create_session(3, SIZE, SIZE)["session"]
+
+        def render(param, controls):
+            reply = client.render(sid, param=param, controls=controls)
+            assert isinstance(reply["colors"], ColorColumn)
+            return reply
+
+        assert_non_dragged_move_is_fresh(render)
+        assert client.close(sid)["closed"]
+
+
 class TestHTTP:
     def test_end_to_end_byte_identity(self, http_service):
         _, client = http_service
