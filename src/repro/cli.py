@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core.annotate import annotate_function
@@ -39,7 +40,7 @@ from .lang.parser import parse_program
 from .lang.pretty import format_function
 from .runtime import native
 from .runtime.interp import Interpreter
-from .runtime.parallel import DEFAULT_TILE, resolve_tile, resolve_workers
+from .runtime.parallel import POOL_MIN_PIXELS, resolve_tile, resolve_workers
 
 
 def _parse_scalar(text):
@@ -239,12 +240,13 @@ def _pool_policy_from_args(args):
 def _session_options(args, **extra):
     """The ``RenderSession`` execution keywords every session-driving
     subcommand builds from its flags, plus the subcommand's ``extra``
-    ones.  CLI sessions always tile: no ``--tile`` means the default
-    tile size, so ``trace`` and ``stats`` run the path ``render`` runs."""
+    ones, so ``trace``, ``stats`` and ``serve`` run the path ``render``
+    runs.  Without ``--tile`` the plan decides: ``--workers`` above one
+    tiles only frames larger than ``POOL_MIN_PIXELS``."""
     options = {
         "backend": args.backend,
         "workers": args.workers,
-        "tile": DEFAULT_TILE if args.tile is None else args.tile,
+        "tile": args.tile,
         "pool_policy": _pool_policy_from_args(args),
     }
     options.update(extra)
@@ -920,9 +922,12 @@ def build_parser():
                         "a count, 'auto' (one per usable core), or "
                         "'fork[:N]'; more than one runs tiles on the "
                         "zero-copy fork/shm pool when available, else "
-                        "serially in-process (default: 1)")
+                        "serially in-process, for frames above %d "
+                        "pixels or with --tile (default: 1)"
+                        % POOL_MIN_PIXELS)
     p.add_argument("--tile", type=_TILE_ARG, default=None,
-                   help="lanes per scheduler tile (default: 2048, "
+                   help="lanes per scheduler tile; tiles the frame at any "
+                        "size (default: 2048 when the frame tiles, "
                         "rounded to whole scan lines)")
     p.add_argument("--incremental", action="store_true",
                    help="edit-path deltas: after the first full load, an "
@@ -1177,7 +1182,16 @@ def main(argv=None, out=None, err=None):
     err = err or sys.stderr
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, out)
+        code = args.handler(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed our stdout (``repro trace 3 | head``): stop
+        # without a traceback.  Point stdout at devnull so the flush at
+        # interpreter exit cannot fail on the same pipe again.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SpecializationError, SceneError) as exc:
         # Typed failures (artifact integrity, specialization,
         # supervision exhaustion, an empty frame size) are operational

@@ -95,6 +95,13 @@ from .supervise import HALF_OPEN, CircuitBreaker
 #: measured tuning table.
 DEFAULT_TILE = 2048
 
+#: Largest frame, in pixels, that a pooled plan with the default tile
+#: still renders untiled: at or below it the fork pool's fixed cost per
+#: frame (dispatch, shm descriptors, result pipe) outweighs splitting
+#: the kernels.  Set from the break-even table in docs/performance.md;
+#: an explicit ``tile=`` tiles at any size.
+POOL_MIN_PIXELS = 128 * 128
+
 
 def usable_cores():
     """CPU cores this process may actually run on (cgroup/affinity

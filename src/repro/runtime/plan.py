@@ -1,7 +1,7 @@
 """The execution plan: how one session, or one drag, actually runs.
 
 ``RenderSession`` resolves its execution keywords (``backend``,
-``guard``, ``workers``, ``tile``) into one immutable
+``guard``, ``workers``, ``tile``) and its frame size into one immutable
 :class:`ExecutionPlan` at construction, and ``begin_edit`` derives each
 drag's plan from it once.  ``EditSession``, ``repro render --json`` and
 the render service all read the plan, so what a surface reports is what
@@ -15,7 +15,8 @@ from typing import Any, Optional
 
 from .batch import resolve_backend
 from .parallel import (
-    DEFAULT_TILE, _pool_available, resolve_tile, resolve_workers,
+    DEFAULT_TILE, POOL_MIN_PIXELS, _pool_available, resolve_tile,
+    resolve_workers,
 )
 
 
@@ -27,9 +28,13 @@ class ExecutionPlan(object):
     spellings; ``backend=None`` means ``"auto"``) and resolves the
     combinations that cannot tile instead of rejecting them: a plan is
     :attr:`tiled` only on the batch backend, unguarded, without a
-    dispatch table, and with more than one worker or an explicit tile
-    size.  Every other plan records ``workers`` 1 and ``tile`` None, so
-    no surface reports a pool that never runs.
+    dispatch table, and with an explicit tile size or more than one
+    worker.  With the default tile, a pooled plan whose frame has at
+    most :data:`~repro.runtime.parallel.POOL_MIN_PIXELS` pixels does not
+    tile either: below that size the pool's fixed cost outweighs the
+    split (docs/performance.md, "Tile-size tuning").  Every untiled plan
+    records ``workers`` 1 and ``tile`` None, so no surface reports a
+    pool that never runs.
     """
 
     backend: Optional[str] = None
@@ -37,6 +42,10 @@ class ExecutionPlan(object):
     dispatch: bool = False
     workers: Any = None
     tile: Any = None
+    #: Pixels per frame (``RenderSession`` passes ``len(scene)``); None
+    #: when the plan is not for one frame size, as the render service's
+    #: own plan, which then tiles by ``workers`` alone.
+    pixels: Optional[int] = None
     #: Edit plans only: the drag's
     #: :class:`~repro.runtime.faultinject.FaultInjector`, split between
     #: guard and pool by :attr:`guard_injector` / :attr:`pool_injector`.
@@ -64,8 +73,12 @@ class ExecutionPlan(object):
         """True when frames run through a tiled executor."""
         return (
             self.backend == "batch" and not self.guard and not self.dispatch
-            and (self.workers > 1 or self.tile is not None)
+            and (self.tile is not None
+                 or (self.workers > 1 and not self._small_frame()))
         )
+
+    def _small_frame(self):
+        return self.pixels is not None and self.pixels <= POOL_MIN_PIXELS
 
     @property
     def transport(self):

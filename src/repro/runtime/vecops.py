@@ -562,6 +562,15 @@ def _make_vec_builtins():
                     comps = (c * x - s * y, s * x + c * y, z)
             out = _stackk(n, 3, comps)
             out[raises] = _np.nan
+            # Which NaN a product of two NaNs keeps depends on operand
+            # order, and NumPy's SIMD body and remainder loop order them
+            # differently: redo NaN lanes with the scalar builtin.
+            redo = _np.isnan(out).any(axis=1) & ~raises
+            if redo.any():
+                lanes = _np.flatnonzero(redo)
+                rows = _np.asarray(v)[lanes] if _per_lane(v) else v
+                out[lanes] = fallback(
+                    len(lanes), rows, _lane_column(angle, n)[lanes])
             return out
 
         return run

@@ -1,11 +1,20 @@
 """Minimal stdlib client for a running ``repro serve`` daemon.
 
 Used by ``repro health --url``, ``renderbench/serve.py`` and the tests;
-kept dependency-free (``urllib``) and symmetrical with the HTTP routes
-in :mod:`repro.serve.http`.  Responses with status >= 400 raise
+kept dependency-free (``http.client``) and symmetrical with the HTTP
+routes in :mod:`repro.serve.http`.  Responses with status >= 400 raise
 :class:`ClientError` carrying the decoded error payload and, for 429
 and 503, the service's ``retry_after_s`` hint — callers implementing
 backoff use the hint instead of inventing their own schedule.
+
+Each thread that uses a :class:`ServiceClient` keeps one kept-alive
+HTTP/1.1 connection to the daemon, so a request costs one round trip,
+not a TCP connect as well.  Every reply body, error replies included,
+is read in full, which leaves the connection ready for the next
+request.  A reused connection that the daemon has since closed (its
+idle timeout, :data:`~repro.serve.http.IDLE_TIMEOUT_S`) is reopened
+once and the request sent again; every other transport failure is a
+:class:`ClientError` with status 0.
 
 Every request asks for :data:`~repro.serve.http.FRAME_MEDIA_TYPE`, so a
 render reply's ``colors`` arrive as float64 bytes and decode into a
@@ -15,9 +24,10 @@ daemon's frame; a malformed one raises :class:`ClientError`.
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 
 from ..runtime.colors import ColorColumn
 from .http import FRAME_MEDIA_TYPE
@@ -50,6 +60,14 @@ class ServiceClient(object):
         self.timeout_s = timeout_s
         #: Default tenant sent as ``X-Repro-Tenant`` on every request.
         self.tenant = tenant
+        url = urllib.parse.urlsplit(self.base_url)
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        #: This thread's kept-alive connection (``connection``), if any.
+        self._local = threading.local()
+        #: Every thread's open connection, for :meth:`disconnect`.
+        self._open = set()
+        self._open_lock = threading.Lock()
 
     # -- transport -----------------------------------------------------------
 
@@ -69,25 +87,70 @@ class ServiceClient(object):
         if self.tenant:
             headers["X-Repro-Tenant"] = str(self.tenant)
         headers.update(extra_headers)
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=headers, method=method
+        response, raw = self._round_trip(
+            method, self._prefix + path, data, headers
+        )
+        payload = self._decode(response.status, raw, response.headers)
+        if response.status >= 400:
+            raise ClientError(response.status, payload,
+                              headers=response.headers)
+        return response.status, payload, dict(response.headers)
+
+    def _round_trip(self, method, target, data, headers):
+        """Send on this thread's connection and read the whole reply.
+        A reused connection found closed is reopened once."""
+        for attempt in (1, 2):
+            connection, reused = self._connection()
+            try:
+                connection.request(method, target, body=data,
+                                   headers=headers)
+                response = connection.getresponse()
+                return response, response.read()
+            except (http.client.RemoteDisconnected, BrokenPipeError,
+                    ConnectionResetError) as err:
+                self._drop(connection)
+                if reused and attempt == 1:
+                    continue
+                raise ClientError(0, {}, "connection to %s lost: %s"
+                                  % (self.base_url, err))
+            except (OSError, http.client.HTTPException) as err:
+                self._drop(connection)
+                raise ClientError(0, {}, "request to %s failed: %s"
+                                  % (self.base_url, err))
+
+    def _connection(self):
+        """``(connection, reused)``: this thread's open connection, or a
+        new one when it has none (or its socket was closed)."""
+        stale = getattr(self._local, "connection", None)
+        if stale is not None and stale.sock is not None:
+            return stale, True
+        connection = http.client.HTTPConnection(
+            *self._address, timeout=self.timeout_s
         )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return (
-                    response.status,
-                    self._decode(response.status, response.read(),
-                                 response.headers),
-                    dict(response.headers),
-                )
-        except urllib.error.HTTPError as err:
-            payload = self._decode(err.code, err.read(), err.headers)
-            raise ClientError(err.code, payload, headers=dict(err.headers))
-        except urllib.error.URLError as err:
+            connection.connect()
+        except OSError as err:
             raise ClientError(0, {}, "cannot reach %s: %s"
-                              % (self.base_url, err.reason))
+                              % (self.base_url, err))
+        self._local.connection = connection
+        with self._open_lock:
+            self._open.discard(stale)
+            self._open.add(connection)
+        return connection, False
+
+    def _drop(self, connection):
+        connection.close()
+        with self._open_lock:
+            self._open.discard(connection)
+
+    def disconnect(self):
+        """Close the kept-alive connection of every thread that used this
+        client; each opens a fresh one on its next request.  Call it
+        when none of them has a request in flight."""
+        with self._open_lock:
+            connections, self._open = self._open, set()
+        for connection in connections:
+            connection.close()
 
     @staticmethod
     def _decode(status, raw, headers):
@@ -163,4 +226,8 @@ class ServiceClient(object):
 def fetch_health(url, timeout_s=5.0):
     """GET ``<url>/health`` and return the decoded payload (``repro
     health --url``)."""
-    return ServiceClient(url, timeout_s=timeout_s).health()
+    client = ServiceClient(url, timeout_s=timeout_s)
+    try:
+        return client.health()
+    finally:
+        client.disconnect()

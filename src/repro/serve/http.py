@@ -29,6 +29,10 @@ and without a decimal float per component; any other ``Accept`` gets
 per-pixel ``[r, g, b]`` lists in ``application/json``.  Replies
 without colours, errors included, are ``application/json`` either way.
 
+Connections are HTTP/1.1 and kept alive between requests (one per
+:class:`~repro.serve.client.ServiceClient` thread); a connection idle
+for :data:`IDLE_TIMEOUT_S` is closed so its handler thread exits.
+
 Every request, over HTTP or driven in-process (``repro slo`` and
 ``repro trace --flight`` without ``--url``), takes one path,
 :func:`serve_request`: the body is encoded inside the ``serve.request``
@@ -179,6 +183,11 @@ def serve_request(service, method, path, route, frame=False,
     return status, body, content_type, headers
 
 
+#: Seconds a kept-alive connection may sit idle between requests before
+#: its handler thread closes it (clients reconnect on their next request).
+IDLE_TIMEOUT_S = 5.0
+
+
 class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -194,6 +203,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Headers and body leave in two writes; with Nagle on, a keep-alive
     # client waits a delayed ACK (~40 ms) for the body of every reply.
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the service's own metrics are the access log
@@ -211,6 +221,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method):
         service = self.server.service
+        # A body no route reads would be parsed as the next request on
+        # this kept-alive connection; _send closes it instead.
+        self._unread = (
+            self.headers.get("Content-Length") or "0"
+        ).strip() != "0"
         status, body, content_type, headers = serve_request(
             service, method, self.path.split("?", 1)[0],
             lambda: self._route(method, service),
@@ -266,6 +281,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length <= 0:
             return {}
         raw = self.rfile.read(length)
+        self._unread = False
         try:
             body = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError):
@@ -281,6 +297,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
+            if self._unread:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
         except (BrokenPipeError, ConnectionResetError):

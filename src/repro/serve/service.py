@@ -10,7 +10,9 @@ session, all sharing:
   shader×partition, across every tenant *and* process on the store),
 * one :class:`~repro.obs.Observability` bundle (``/metrics``),
 * one :class:`~repro.runtime.parallel.WorkerPool` when the plan has
-  more than one worker (it forks on the first pooled frame),
+  more than one worker (it forks on the first pooled frame; a session
+  whose frame is at or below ``POOL_MIN_PIXELS`` with the default tile
+  renders untiled and never uses it),
 * one :class:`~repro.runtime.supervise.RenderSupervisor` **per
   tenant** — breakers are keyed (shader, partition), so without the
   per-tenant split one tenant's poison shader would trip the breaker
@@ -318,13 +320,14 @@ class RenderService(object):
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
         self.store = ArtifactStore(config.store_dir)
-        #: The one worker pool every hosted session renders on (None
-        #: with one worker).  It keeps per-connection dispatch state,
-        #: so *pooled* frame renders from different sessions must not
-        #: interleave: one mutex serializes the render itself
+        #: The one worker pool every tiled hosted session renders on
+        #: (None with one worker).  It keeps per-connection dispatch
+        #: state, so *pooled* frame renders from different sessions must
+        #: not interleave: one mutex serializes the render itself
         #: (admission still bounds how many requests hold sockets).
-        #: Single-worker services — the default — render fully
-        #: concurrently.
+        #: Untiled sessions (single-worker services, the default, and
+        #: frames at or below ``POOL_MIN_PIXELS``) render fully
+        #: concurrently and never take it.
         self.pool = None
         self._pool_mutex = None
         if self.plan.workers > 1:
@@ -457,11 +460,12 @@ class RenderService(object):
             if supervisor is None:
                 supervisor = RenderSupervisor(config.policy, obs=self.obs)
                 self._supervisors[tenant] = supervisor
-        plan = self.plan
+        # The configured tile, not the resolved one: the session's own
+        # plan decides from its frame size whether the default tile pools.
         session = RenderSession(
-            spec_info.index, backend=plan.backend, supervisor=supervisor,
-            obs=self.obs, workers=plan.workers, tile=plan.tile,
-            pool=self.pool, store=self.store,
+            spec_info.index, backend=self.plan.backend,
+            supervisor=supervisor, obs=self.obs, workers=self.plan.workers,
+            tile=config.tile, pool=self.pool, store=self.store,
             width=width, height=height,
         )
         injector = None
@@ -553,7 +557,7 @@ class RenderService(object):
             self._m_shed.inc(scope=err.scope)
             raise
         with permit, contextlib.ExitStack() as stack:
-            if self._pool_mutex is not None:
+            if self._pool_mutex is not None and hosted.session.plan.tiled:
                 stack.enter_context(self._pool_mutex)
             stack.enter_context(hosted.lock)
             hosted.last_used = self.clock()

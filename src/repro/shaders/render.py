@@ -990,13 +990,6 @@ class RenderSession(object):
                  tile=None, pool_policy=None, pool=None, store=None,
                  incremental=False):
         self.spec_info = SHADERS[shader_index]
-        #: The resolved :class:`~repro.runtime.plan.ExecutionPlan` every
-        #: drag derives its own from.  Sessions default to
-        #: ``backend="auto"`` (batch when NumPy is importable).
-        self.plan = ExecutionPlan(
-            backend=backend, guard=guard, workers=workers, tile=tile,
-        )
-        self.backend = self.plan.backend
         #: The :class:`~repro.runtime.parallel.WorkerPool` handed in by
         #: an owner that shares it (the render service), or None: a
         #: pooled session then builds its own from ``workers`` and
@@ -1022,6 +1015,15 @@ class RenderSession(object):
                 pixels=width * height,
             ):
                 self.scene = scene_for(shader_index, width, height)
+        #: The resolved :class:`~repro.runtime.plan.ExecutionPlan` every
+        #: drag derives its own from.  Sessions default to
+        #: ``backend="auto"`` (batch when NumPy is importable); the
+        #: frame's pixel count decides whether the default tile pools.
+        self.plan = ExecutionPlan(
+            backend=backend, guard=guard, workers=workers, tile=tile,
+            pixels=len(self.scene),
+        )
+        self.backend = self.plan.backend
         with self.obs.span(
             "frontend.parse", shader=self.spec_info.name
         ):

@@ -357,7 +357,8 @@ class TestPoolKnobs:
 
         for flags, tiled in [
             (["--workers", "2", "--tile", "64"], True),
-            (["--workers", "1"], True),
+            (["--workers", "1", "--tile", "64"], True),
+            (["--workers", "1"], False),
             (["--backend", "scalar", "--workers", "2"], False),
         ]:
             plans = set()
@@ -385,10 +386,12 @@ class TestRenderPlan:
     def test_tiled(self):
         from repro.runtime import parallel as P
 
-        config = _render_config(["3", "--size", "8", "--workers", "2"])
+        config = _render_config(
+            ["3", "--size", "8", "--workers", "2", "--tile", "16"]
+        )
         assert config["tiled"] is True
         assert config["workers"] == 2
-        assert config["tile"] == P.DEFAULT_TILE
+        assert config["tile"] == 16
         assert config["transport"] == (
             "shm" if P._pool_available() else "serial"
         )
@@ -397,7 +400,9 @@ class TestRenderPlan:
         ["3", "--guard"],
         ["9", "--dispatch"],
         ["3", "--backend", "scalar"],
-    ], ids=["guarded", "dispatch", "scalar"])
+        # At or below POOL_MIN_PIXELS, --workers without --tile.
+        ["3"],
+    ], ids=["guarded", "dispatch", "scalar", "small-frame"])
     def test_untiled(self, argv):
         config = _render_config(argv + ["--size", "8", "--workers", "2"])
         assert config["tiled"] is False
@@ -424,9 +429,9 @@ class TestRenderPlan:
 
         rendered, traced = tmp_path / "render.json", tmp_path / "trace.json"
         run_cli(["render", "3", "--size", "16", "--workers", "1",
-                 "--trace-out", str(rendered)])
+                 "--tile", "256", "--trace-out", str(rendered)])
         run_cli(["trace", "3", "--size", "16", "--workers", "1",
-                 "--adjusts", "1", "--out", str(traced)])
+                 "--tile", "256", "--adjusts", "1", "--out", str(traced)])
         assert tile_spans(rendered) == tile_spans(traced) == 2
 
 
@@ -442,3 +447,20 @@ class TestMainModule:
         )
         assert proc.returncode == 0
         assert "cache layout" in proc.stdout
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """``repro trace 3 | head``: a reader that closes the pipe early
+        gets a nonzero exit and no traceback on stderr."""
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "3", "--size", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err

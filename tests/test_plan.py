@@ -9,6 +9,7 @@ drags build no tiled executor and touch no shared memory.
 
 import dataclasses
 import os
+import threading
 
 import pytest
 
@@ -192,3 +193,76 @@ def test_service_pool_mutex_reads_the_plan(tmp_path):
     finally:
         pooled.drain()
         scalar.drain()
+
+
+# -- frames at or below the pool's break-even run untiled -------------------
+
+
+UNTILED = {"tiled": False, "workers": 1, "tile": None, "transport": "serial"}
+
+
+def _pool_fields(plan):
+    return {key: plan.as_dict()[key] for key in UNTILED}
+
+
+@requires_numpy
+@pytest.mark.parametrize("pixels", [64 * 64, P.POOL_MIN_PIXELS])
+def test_small_frame_with_default_tile_is_untiled(pixels):
+    plan = ExecutionPlan(backend="batch", workers=2, pixels=pixels)
+    assert _pool_fields(plan) == UNTILED
+    assert _pool_fields(plan.for_edit()) == UNTILED
+    assert dataclasses.replace(plan) == plan
+
+
+@requires_numpy
+@pytest.mark.parametrize("pixels,tile,lanes", [
+    (64 * 64, 16, 16),
+    (P.POOL_MIN_PIXELS + 1, None, P.DEFAULT_TILE),
+    (None, None, P.DEFAULT_TILE),
+])
+def test_explicit_tile_or_large_frame_still_tiles(pixels, tile, lanes):
+    """An explicit tile tiles at any size; a frame above the constant
+    (or a plan with no frame size) tiles with the default tile."""
+    plan = ExecutionPlan(backend="batch", workers=2, tile=tile,
+                         pixels=pixels)
+    for resolved in (plan, plan.for_edit()):
+        assert resolved.tiled
+        assert (resolved.workers, resolved.tile) == (2, lanes)
+
+
+@requires_numpy
+def test_session_plan_reads_its_frame_size():
+    session = RenderSession(3, width=8, height=8, backend="batch",
+                            workers=2)
+    try:
+        assert session.plan.pixels == 64
+        assert _pool_fields(session.plan) == UNTILED
+        assert session.pool is None
+        edit = session.begin_edit("veinfreq")
+        assert edit._executor is None
+        assert _pool_fields(edit.plan) == UNTILED
+    finally:
+        session.close()
+
+
+@requires_numpy
+def test_untiled_session_does_not_take_the_pool_mutex(tmp_path):
+    """A 64x64 session of a ``fork:2`` service renders while another
+    thread holds the service's pool mutex."""
+    service = RenderService(
+        ServiceConfig(str(tmp_path), backend="batch", workers="fork:2"),
+        obs=False,
+    )
+    try:
+        sid = service.create_session("t", 3, 64, 64)["session"]
+        replies = []
+        with service._pool_mutex:
+            worker = threading.Thread(
+                target=lambda: replies.append(service.render(sid))
+            )
+            worker.start()
+            worker.join(timeout=60.0)
+            assert not worker.is_alive(), "render waited for the pool mutex"
+        assert replies[0]["phase"] == "load"
+    finally:
+        service.drain()

@@ -404,6 +404,48 @@ class TestServiceLifecycle:
         assert B.shm_resident_bytes() == 0
         assert not [f for f in os.listdir("/dev/shm") if f.startswith(prefix)]
 
+    def test_small_frames_fork_no_worker(self, tmp_path):
+        """A ``fork:2`` service resolves 64x64 sessions to the untiled
+        plan: no worker forks, and the colours and costs equal those of
+        the same service with an explicit tile (which does pool)."""
+        import multiprocessing
+
+        from repro.runtime import parallel as P
+
+        if not P._pool_available():
+            pytest.skip("fork/shm pool unavailable")
+
+        def serve(tile, store):
+            service = RenderService(
+                service_config(tmp_path, store_dir=str(tmp_path / store),
+                               backend="batch", workers="fork:2",
+                               tile=tile),
+                obs=False,
+            )
+            try:
+                sid = service.create_session("t", 3, 64, 64)["session"]
+                replies = [
+                    service.render(sid, param="veinfreq",
+                                   controls={"veinfreq": value})
+                    for value in (5.0, 7.0, 9.0)
+                ]
+                replies.append(service.render(sid, controls={"b1": 0.9}))
+                forked = len(multiprocessing.active_children())
+                return [
+                    (r["path"], r["cost"], r["colors"].to_wire()["b64"])
+                    for r in replies
+                ], forked
+            finally:
+                service.drain()
+
+        untiled, forked = serve(None, "untiled")
+        tiled, pooled = serve(P.DEFAULT_TILE, "tiled")
+        assert forked == 0 and pooled == 2
+        assert untiled == tiled
+        assert [path for path, _, _ in untiled] == [
+            "full", "adjust", "adjust", "full",
+        ]
+
     def test_inflight_gauge_ends_at_zero(self, tmp_path, monkeypatch):
         """Two renders that finish together: the gauge must show the
         count their releases left, not a count read before them."""
@@ -495,6 +537,7 @@ def http_service(tmp_path):
     try:
         yield service, client
     finally:
+        client.disconnect()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5.0)
@@ -853,6 +896,97 @@ class TestFrameWire:
             cli._cleanup_local_service(service, store_dir)
 
 
+def local_socket(client):
+    """The local address of the calling thread's kept-alive connection."""
+    return client._local.connection.sock.getsockname()
+
+
+class TestKeepAlive:
+    """``ServiceClient`` keeps one connection per thread."""
+
+    def test_renders_reuse_one_socket(self, http_service):
+        _, client = http_service
+        created = client.create_session(SHADER, SIZE, SIZE)
+        sid, param = created["session"], created["params"][0]
+        first = local_socket(client)
+        phases = []
+        for value in (0.2, 0.3, 0.4):
+            phases.append(client.render(sid, controls={param: value})["phase"])
+            assert local_socket(client) == first
+        assert phases == ["load", "adjust", "adjust"]
+
+    def test_error_reply_leaves_the_connection_usable(self, http_service):
+        _, client = http_service
+        client.sessions()
+        first = local_socket(client)
+        with pytest.raises(ClientError) as err:
+            client.render("s999999")
+        assert err.value.status == 404
+        assert client.sessions() == {"sessions": []}
+        assert local_socket(client) == first
+
+    def test_unread_request_body_closes_the_connection(self, http_service):
+        """A route that never reads the body answers ``Connection:
+        close``, so the body is not parsed as the next request."""
+        _, client = http_service
+        with pytest.raises(ClientError) as err:
+            client.request("POST", "/no/such/route", {"x": 1})
+        assert err.value.status == 404
+        assert err.value.headers["Connection"] == "close"
+        assert client.sessions() == {"sessions": []}
+
+    def test_threads_get_their_own_connection(self, http_service):
+        _, client = http_service
+        client.sessions()
+        sockets = [local_socket(client)]
+        errors = []
+
+        def probe():
+            try:
+                client.sessions()
+                sockets.append(local_socket(client))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        for _ in range(2):
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(timeout=30.0)
+        assert errors == []
+        assert len(set(sockets)) == 3
+
+    def test_dead_port_is_status_zero(self):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = ServiceClient("http://127.0.0.1:%d" % port, timeout_s=5.0)
+        with pytest.raises(ClientError) as err:
+            client.health()
+        assert err.value.status == 0
+        assert "cannot reach" in str(err.value)
+
+    def test_idle_connection_is_closed_and_reopened(self, http_service,
+                                                   monkeypatch):
+        """The daemon closes a connection idle past its timeout; the
+        client's next request on it reconnects once and succeeds."""
+        from repro.serve import http as H
+
+        monkeypatch.setattr(H._Handler, "timeout", 0.2)
+        _, client = http_service
+        client.sessions()
+        stale = client._local.connection
+        first = local_socket(client)
+        # The daemon closes its end after the idle timeout: EOF.
+        stale.sock.settimeout(10.0)
+        assert stale.sock.recv(1) == b""
+        sid = client.create_session(SHADER, SIZE, SIZE)["session"]
+        assert client.render(sid)["phase"] == "load"
+        assert client._local.connection is not stale
+        assert local_socket(client) != first
+
+
 class TestHealthCLI:
     def run_cli(self, argv):
         out = io.StringIO()
@@ -916,6 +1050,7 @@ class TestDaemonSignals:
             client = ServiceClient(url, timeout_s=10.0, tenant="t")
             sid = client.create_session(SHADER, SIZE, SIZE)["session"]
             assert client.render(sid)["phase"] == "load"
+            client.disconnect()
             pid = proc.pid
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=30)
@@ -929,6 +1064,21 @@ class TestDaemonSignals:
             ]
             assert leftovers == []
             assert glob.glob(str(tmp_path / "store" / "*" / ".lock")) == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    def test_drain_does_not_wait_for_an_idle_connection(self, tmp_path):
+        proc, url = self._start_daemon(tmp_path)
+        try:
+            client = ServiceClient(url, timeout_s=10.0)
+            assert client.health()["service"]["draining"] is False
+            # The client keeps its connection open across the drain.
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert "drained" in proc.stdout.read()
+            client.disconnect()
         finally:
             if proc.poll() is None:
                 proc.kill()
