@@ -85,10 +85,12 @@ def _parse_bindings(text):
 
 def _load_program(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return parse_program(handle.read())
     except OSError as exc:
         raise SystemExit("cannot read %s: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise SystemExit("%s: not UTF-8 text: %s" % (path, exc))
     except SourceError as exc:
         raise SystemExit("%s: %s" % (path, exc))
 

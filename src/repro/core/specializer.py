@@ -403,7 +403,9 @@ class DataSpecializer(object):
         #: (:data:`repro.obs.NULL_OBS` = disabled, zero overhead).
         self.obs = resolve_obs(obs)
         # Whole-program check up front: errors surface on the original
-        # source, not on transformed internals.
+        # source, not on transformed internals.  A published program
+        # (the install cache's) was checked when it was linked, and
+        # ``check_program`` returns those results without a walk.
         with self.obs.span("frontend.typecheck"):
             check_program(self.program)
 
@@ -418,7 +420,8 @@ class DataSpecializer(object):
         ):
             spec = self._specialize_stages(fn_name, varying, overrides)
         if obs.enabled:
-            self._record_specialization(spec, fn_name, varying)
+            with obs.span("obs.record", phase="specialize"):
+                self._record_specialization(spec, fn_name, varying)
         return spec
 
     def _specialize_stages(self, fn_name, varying, overrides):

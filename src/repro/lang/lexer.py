@@ -28,6 +28,15 @@ KEYWORDS = {
 TWO_CHAR_OPS = ("==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "->")
 ONE_CHAR_OPS = "+-*/%<>=!(){},;?:."
 
+# Digits and identifier characters are ASCII only, as in C (Section 5).
+# ``str.isdigit``/``isalpha`` also accept superscripts and the digits and
+# letters of other scripts: ``2²`` would reach ``int()`` and fail there,
+# and Arabic-Indic ``١٢`` would lex as the int 12.  Any other character
+# is a :class:`LexError` with its position.
+DIGITS = frozenset("0123456789")
+IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+IDENT_CHARS = IDENT_START | DIGITS
+
 
 class Token(object):
     """One lexical token.
@@ -93,13 +102,13 @@ def tokenize(source):
             continue
 
         # Numbers. A leading digit or a dot followed by a digit.
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in DIGITS or (ch == "." and i + 1 < n and source[i + 1] in DIGITS):
             start = i
             seen_dot = False
             seen_exp = False
             while i < n:
                 c = source[i]
-                if c.isdigit():
+                if c in DIGITS:
                     i += 1
                 elif c == "." and not seen_dot and not seen_exp:
                     seen_dot = True
@@ -109,7 +118,7 @@ def tokenize(source):
                     j = i + 1
                     if j < n and source[j] in "+-":
                         j += 1
-                    if j < n and source[j].isdigit():
+                    if j < n and source[j] in DIGITS:
                         seen_exp = True
                         i = j
                     else:
@@ -125,9 +134,9 @@ def tokenize(source):
             continue
 
         # Identifiers / keywords.
-        if ch.isalpha() or ch == "_":
+        if ch in IDENT_START:
             start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and source[i] in IDENT_CHARS:
                 i += 1
             text = source[start:i]
             kind = "keyword" if text in KEYWORDS else "ident"

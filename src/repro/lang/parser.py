@@ -84,10 +84,14 @@ class _Parser(object):
 
     # -- declarations ------------------------------------------------------
 
-    def parse_program(self):
+    def parse_definitions(self):
         functions = []
         while not self.check("eof"):
             functions.append(self.parse_function())
+        return functions
+
+    def parse_program(self):
+        functions = self.parse_definitions()
         if not functions:
             self.error("empty program")
         return A.Program(functions)
@@ -378,6 +382,14 @@ def parse_program(source):
     program = _Parser(tokenize(source)).parse_program()
     A.number_nodes(program)
     return program
+
+
+def parse_definitions(source):
+    """Parse zero or more function definitions, without numbering them.
+
+    The linker (:mod:`repro.lang.link`) numbers them after the library
+    they are linked with."""
+    return _Parser(tokenize(source)).parse_definitions()
 
 
 def parse_function(source):

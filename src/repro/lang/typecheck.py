@@ -20,6 +20,8 @@ Language rules enforced here, beyond ordinary C-style typing:
 
 from __future__ import annotations
 
+import weakref
+
 from . import ast_nodes as A
 from .errors import TypeError_
 from .types import FLOAT, INT, VEC3, VOID, assignable, is_numeric, unify_arith
@@ -286,8 +288,32 @@ class _FunctionChecker(object):
         _err("call to unknown function %r" % expr.name, expr)
 
 
+#: Published program -> its ``{name: TypeInfo}``.  A published program
+#: was checked once and its nodes are never written again (other threads
+#: may be reading them), so :func:`check_program` hands back these
+#: results instead of walking and re-annotating it.
+_PUBLISHED = weakref.WeakKeyDictionary()
+
+
+def publish(program, infos):
+    """Record ``program`` as checked, with ``infos`` its check results."""
+    _PUBLISHED[program] = infos
+
+
 def check_program(program):
     """Type check every function; return ``{name: TypeInfo}``."""
+    infos = _PUBLISHED.get(program)
+    if infos is not None:
+        return dict(infos)
+    return check_linked(program, {})
+
+
+def check_linked(program, checked):
+    """Type check ``program`` whose functions in ``checked`` (``{name:
+    TypeInfo}`` from an earlier check of a library it links) are already
+    checked: their signatures take part, their bodies are not visited
+    again.  Returns ``{name: TypeInfo}`` for every function, and raises
+    the error :func:`check_program` would."""
     from ..runtime.builtins import REGISTRY as builtin_registry
 
     user_sigs = {}
@@ -300,7 +326,10 @@ def check_program(program):
 
     infos = {}
     for fn in program.functions:
-        infos[fn.name] = _FunctionChecker(fn, user_sigs, builtin_registry).check()
+        info = checked.get(fn.name)
+        if info is None or info.function is not fn:
+            info = _FunctionChecker(fn, user_sigs, builtin_registry).check()
+        infos[fn.name] = info
     return infos
 
 

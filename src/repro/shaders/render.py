@@ -26,7 +26,6 @@ from ..core.specializer import DataSpecializer
 from ..lang.errors import (
     DeadlineError, SpecializationError, StaleCacheError, SupervisionError,
 )
-from ..lang.parser import parse_program
 from ..obs import resolve_obs
 from ..obs.schema import canonical_rung
 from ..runtime import batch as B
@@ -37,6 +36,7 @@ from ..runtime.guard import FaultLog
 from ..runtime.interp import CostMeter, Interpreter
 from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, Rung
+from .install import PROGRAMS
 from .scenes import scene_for
 from .sources import SHADERS, shader_program_source
 
@@ -220,7 +220,8 @@ class EditSession(object):
                 cost=image.total_cost, rung=self._rung_label(),
                 path=self.last_path,
             )
-        self._record_frame("load", image)
+        with self.obs.span("obs.record", phase="load"):
+            self._record_frame("load", image)
         return image
 
     def adjust(self, controls):
@@ -248,7 +249,8 @@ class EditSession(object):
         ) as span:
             image = self._adjust_frame(controls)
             span.set(cost=image.total_cost, rung=self._rung_label())
-        self._record_frame("adjust", image)
+        with self.obs.span("obs.record", phase="adjust"):
+            self._record_frame("adjust", image)
         return image
 
     def _load_frame(self, controls):
@@ -1024,12 +1026,13 @@ class RenderSession(object):
             pixels=len(self.scene),
         )
         self.backend = self.plan.backend
+        # The shader's checked program is installed once per process
+        # and shared: ``cached`` says whether this session parsed it.
         with self.obs.span(
             "frontend.parse", shader=self.spec_info.name
-        ):
-            self.program = parse_program(
-                shader_program_source(self.spec_info)
-            )
+        ) as span:
+            self.program, cached = PROGRAMS.program(self.spec_info)
+            span.set(cached=cached)
         self.specializer = DataSpecializer(
             self.program, specializer_options, obs=self.obs
         )

@@ -464,3 +464,31 @@ class TestMainModule:
         assert proc.wait(timeout=120) != 0
         assert "Traceback" not in err
         assert "BrokenPipeError" not in err
+
+    def test_lex_error_is_one_line_without_traceback(self, tmp_path):
+        """A non-ASCII digit in a source file is a typed lex error: one
+        line on stderr naming the file and position, no traceback."""
+        import subprocess
+        import sys
+
+        bad = tmp_path / "bad.k"
+        bad.write_text(
+            "float f(float x) { return x * 2\u00b2; }\n", encoding="utf-8"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "specialize", str(bad),
+             "--varying", "x"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert "bad.k: line 1, col 32: unexpected character" in lines[0]
+
+    def test_non_utf8_source_is_one_line_error(self, tmp_path):
+        bad = tmp_path / "latin1.k"
+        bad.write_bytes(b"float f(float x) { return x * 2\xb2; }\n")
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(["specialize", str(bad), "--varying", "x"])
+        assert "latin1.k: not UTF-8 text" in str(exc_info.value)

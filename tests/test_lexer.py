@@ -137,3 +137,35 @@ class TestErrors:
     def test_at_sign_rejected(self):
         with pytest.raises(LexError):
             tokenize("x @ y")
+
+
+class TestAsciiOnly:
+    """Digits and identifier characters are ASCII only, as in C: any
+    other character is a LexError at its own position."""
+
+    def test_superscript_after_number_is_lex_error(self):
+        with pytest.raises(LexError) as exc_info:
+            tokenize("float f(float x) { return x * 2²; }")
+        assert (exc_info.value.line, exc_info.value.col) == (1, 32)
+        assert "²" in exc_info.value.message
+
+    def test_other_script_digits_are_not_a_number(self):
+        with pytest.raises(LexError) as exc_info:
+            tokenize("x = ١٢;")
+        assert (exc_info.value.line, exc_info.value.col) == (1, 5)
+
+    def test_fullwidth_digit_is_lex_error(self):
+        with pytest.raises(LexError):
+            tokenize("x = １;")
+
+    def test_non_ascii_letter_ends_identifier(self):
+        with pytest.raises(LexError) as exc_info:
+            tokenize("café")
+        assert exc_info.value.col == 4
+
+    def test_non_ascii_letter_cannot_start_identifier(self):
+        with pytest.raises(LexError):
+            tokenize("ß = 1;")
+
+    def test_ascii_exponent_still_lexes(self):
+        assert values("2e3 1.5E-2 7") == [2000.0, 0.015, 7]
