@@ -34,50 +34,65 @@ class DependenceAnalysis(object):
     def __init__(self, fn, varying):
         self.fn = fn
         self.varying = frozenset(varying)
+        #: nid -> dependence mask (nonzero when dependent).
         self.dependent = {}
 
     def is_dependent(self, node):
-        return self.dependent.get(node.nid, False)
+        return bool(self.dependent.get(node.nid, 0))
 
 
 class _Analyzer(object):
-    def __init__(self, result):
-        self.result = result
+    """The flow-sensitive walk over dependence *masks*: each bit stands
+    for one source of variation, a term's mask is the union of the
+    sources it depends on, and 0 means independent.  One bit for the
+    whole varying set gives :func:`dependence_analysis`; one bit per
+    parameter gives every parameter's dependence in a single walk
+    (:func:`parameter_dependence`), because every rule is a bitwise
+    union and so treats the bits independently."""
 
-    def mark(self, node, flag):
-        self.result.dependent[node.nid] = flag
-        return flag
+    def __init__(self, result, top=1):
+        self.result = result
+        #: The mask of an impure call: dependent on every source.
+        self.top = top
+
+    def mark(self, node, mask):
+        self.result.dependent[node.nid] = mask
+        return mask
 
     # -- expressions ----------------------------------------------------------
 
     def expr(self, expr, env):
-        """Record and return whether ``expr`` is dependent under ``env``."""
+        """Record and return the dependence mask of ``expr`` under
+        ``env``."""
         kind = type(expr)
         if kind is A.IntLit or kind is A.FloatLit:
-            return self.mark(expr, False)
+            return self.mark(expr, 0)
         if kind is A.VarRef:
-            return self.mark(expr, env.get(expr.name, False))
+            return self.mark(expr, env.get(expr.name, 0))
         if kind is A.BinOp:
             left = self.expr(expr.left, env)
             right = self.expr(expr.right, env)
-            return self.mark(expr, left or right)
+            return self.mark(expr, left | right)
         if kind is A.UnaryOp:
             return self.mark(expr, self.expr(expr.operand, env))
         if kind is A.Call:
-            flags = [self.expr(arg, env) for arg in expr.args]
+            mask = 0
+            for arg in expr.args:
+                mask |= self.expr(arg, env)
             builtin = REGISTRY.get(expr.name)
-            impure = builtin is not None and not builtin.pure
-            return self.mark(expr, impure or any(flags))
+            if builtin is not None and not builtin.pure:
+                mask |= self.top
+            return self.mark(expr, mask)
         if kind is A.Member:
             return self.mark(expr, self.expr(expr.base, env))
         if kind is A.Cond:
             pred = self.expr(expr.pred, env)
             then = self.expr(expr.then, env)
             else_ = self.expr(expr.else_, env)
-            return self.mark(expr, pred or then or else_)
+            return self.mark(expr, pred | then | else_)
         if kind is A.CacheRead:
             # Cached values are by construction independent.
-            return self.mark(expr, False)
+            return self.mark(expr, 0)
         if kind is A.CacheStore:
             return self.mark(expr, self.expr(expr.value, env))
         raise TypeError("unexpected expression %r" % kind.__name__)
@@ -91,19 +106,19 @@ class _Analyzer(object):
                 env = self.stmt(inner, env)
             return env
         if kind is A.Assign:
-            flag = self.expr(stmt.expr, env)
-            self.mark(stmt, flag)
+            mask = self.expr(stmt.expr, env)
+            self.mark(stmt, mask)
             out = dict(env)
-            out[stmt.name] = flag
+            out[stmt.name] = mask
             return out
         if kind is A.VarDecl:
             if stmt.init is None:
-                self.mark(stmt, False)
+                self.mark(stmt, 0)
                 return env
-            flag = self.expr(stmt.init, env)
-            self.mark(stmt, flag)
+            mask = self.expr(stmt.init, env)
+            self.mark(stmt, mask)
             out = dict(env)
-            out[stmt.name] = flag
+            out[stmt.name] = mask
             return out
         if kind is A.If:
             pred = self.expr(stmt.pred, env)
@@ -111,12 +126,12 @@ class _Analyzer(object):
             else_env = self.stmt(stmt.else_, dict(env)) if stmt.else_ else env
             merged = dict(env)
             for name in set(then_env) | set(else_env):
-                merged[name] = then_env.get(name, False) or else_env.get(name, False)
+                merged[name] = then_env.get(name, 0) | else_env.get(name, 0)
             if pred:
                 # Rule 4: a dependent predicate taints everything assigned
                 # in the region it controls.
                 for name in A.assigned_var_names(stmt):
-                    merged[name] = True
+                    merged[name] = merged.get(name, 0) | pred
             self.mark(stmt, pred)
             return merged
         if kind is A.While:
@@ -127,13 +142,13 @@ class _Analyzer(object):
                 merged = dict(env)
                 for name in set(body_out) | set(env_in):
                     merged[name] = (
-                        env_in.get(name, False)
-                        or body_out.get(name, False)
-                        or env.get(name, False)
+                        env_in.get(name, 0)
+                        | body_out.get(name, 0)
+                        | env.get(name, 0)
                     )
                 if pred:
                     for name in A.assigned_var_names(stmt.body):
-                        merged[name] = True
+                        merged[name] = merged.get(name, 0) | pred
                 if merged == env_in:
                     break
                 env_in = merged
@@ -143,10 +158,10 @@ class _Analyzer(object):
             self.mark(stmt, pred)
             return env_in
         if kind is A.Return:
-            flag = False
+            mask = 0
             if stmt.expr is not None:
-                flag = self.expr(stmt.expr, env)
-            self.mark(stmt, flag)
+                mask = self.expr(stmt.expr, env)
+            self.mark(stmt, mask)
             return env
         if kind is A.ExprStmt:
             self.mark(stmt, self.expr(stmt.expr, env))
@@ -154,18 +169,42 @@ class _Analyzer(object):
         raise TypeError("unexpected statement %r" % kind.__name__)
 
 
-def dependence_analysis(fn, varying):
-    """Analyze ``fn`` with the given set of varying parameter names."""
-    unknown = set(varying) - set(fn.param_names())
+def _check_params(fn, names):
+    unknown = set(names) - set(fn.param_names())
     if unknown:
         raise ValueError(
             "varying names not among parameters of %r: %s"
             % (fn.name, ", ".join(sorted(unknown)))
         )
+
+
+def dependence_analysis(fn, varying):
+    """Analyze ``fn`` with the given set of varying parameter names."""
+    _check_params(fn, varying)
     result = DependenceAnalysis(fn, varying)
     analyzer = _Analyzer(result)
-    env = {name: (name in result.varying) for name in fn.param_names()}
+    env = {name: int(name in result.varying) for name in fn.param_names()}
     for param in fn.params:
-        result.dependent[param.nid] = param.name in result.varying
+        result.dependent[param.nid] = int(param.name in result.varying)
     analyzer.stmt(fn.body, env)
     return result
+
+
+def parameter_dependence(fn, params):
+    """Every parameter's dependence in one walk.
+
+    Returns ``(result, bits)``: ``result.dependent[nid]`` is the mask of
+    the parameters in ``params`` a term depends on, and ``bits[name]``
+    is the mask bit of parameter ``name``.  Bit by bit it equals
+    :func:`dependence_analysis` with that one parameter varying.
+    """
+    params = tuple(params)
+    _check_params(fn, params)
+    bits = {name: 1 << position for position, name in enumerate(params)}
+    result = DependenceAnalysis(fn, params)
+    analyzer = _Analyzer(result, top=(1 << len(params)) - 1)
+    env = {name: bits.get(name, 0) for name in fn.param_names()}
+    for param in fn.params:
+        result.dependent[param.nid] = bits.get(param.name, 0)
+    analyzer.stmt(fn.body, env)
+    return result, bits

@@ -40,11 +40,10 @@ from ..obs import NULL_OBS, resolve_obs
 from ..runtime.batch import BatchKernel
 from ..runtime.compiler import compile_function
 from ..runtime.interp import CostMeter, Interpreter
-from ..transform.inline import Inliner
 from ..transform.limiter import limit_cache
 from ..transform.reassoc import reassociate
 from ..transform.split import split
-from ..transform.ssa import ssa_normalize
+from .frontend import front_end_instance
 from .partition import InputPartition
 
 
@@ -434,17 +433,13 @@ class DataSpecializer(object):
             raise SpecializationError("no function named %r" % fn_name)
         partition = InputPartition(root, varying)
 
-        # 1. Inline library calls; work on a private copy from here on.
-        with obs.span("specialize.inline"):
-            fn = Inliner(self.program).inline_function(fn_name)
-
-        # 2. Join-point normalization (Section 4.1).
-        if options.ssa:
-            with obs.span("specialize.ssa"):
-                fn = ssa_normalize(fn)
-
-        with obs.span("specialize.typecheck"):
-            type_info = self._check(fn)
+        # 1-3. Inline library calls, join-point normalization (Section
+        # 4.1) and type check: partition-free, so a published program's
+        # front end is built once per process.  Work on a private copy
+        # from here on.
+        fn, type_info = front_end_instance(
+            self.program, fn_name, options.ssa, obs
+        )
 
         # 4. Dependence analysis (Section 3.1).
         with obs.span("specialize.dependence"):

@@ -20,6 +20,7 @@ Language rules enforced here, beyond ordinary C-style typing:
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 from . import ast_nodes as A
@@ -288,23 +289,43 @@ class _FunctionChecker(object):
         _err("call to unknown function %r" % expr.name, expr)
 
 
-#: Published program -> its ``{name: TypeInfo}``.  A published program
-#: was checked once and its nodes are never written again (other threads
-#: may be reading them), so :func:`check_program` hands back these
+class Published(object):
+    """What a published program carries: its ``{name: TypeInfo}``, and
+    ``derived``, results later stages computed from it once (filled
+    under ``lock``: sessions are built from the daemon's handler
+    threads)."""
+
+    __slots__ = ("infos", "derived", "lock")
+
+    def __init__(self, infos):
+        self.infos = infos
+        self.derived = {}
+        self.lock = threading.Lock()
+
+
+#: Published program -> its :class:`Published` entry.  A published
+#: program was checked once and its nodes are never written again (other
+#: threads may be reading them), so :func:`check_program` hands back its
 #: results instead of walking and re-annotating it.
 _PUBLISHED = weakref.WeakKeyDictionary()
 
 
 def publish(program, infos):
     """Record ``program`` as checked, with ``infos`` its check results."""
-    _PUBLISHED[program] = infos
+    _PUBLISHED[program] = Published(infos)
+
+
+def published(program):
+    """The :class:`Published` entry of ``program``, or None when it was
+    not published."""
+    return _PUBLISHED.get(program)
 
 
 def check_program(program):
     """Type check every function; return ``{name: TypeInfo}``."""
-    infos = _PUBLISHED.get(program)
-    if infos is not None:
-        return dict(infos)
+    entry = _PUBLISHED.get(program)
+    if entry is not None:
+        return dict(entry.infos)
     return check_linked(program, {})
 
 

@@ -123,11 +123,16 @@ class SoACache(object):
             self.filled[index] = True
             return
         old = self.columns[index]
+        if isinstance(old, list):
+            old = self._densify(index, old, masked_store=True)
         if old is None:
             old = _np.zeros_like(value)
-        elif isinstance(old, list):
-            old = self._densify(index, old)
         m = _np.asarray(mask)
+        if m.ndim == 0:
+            # A predicate over uniform controls and constants: one flag
+            # for every lane, widened so filled-lane tracking has a lane
+            # axis.
+            m = _np.full(self.n, bool(m))
         lanes = m.astype(bool)
         prev = self.filled[index]
         if prev is True:
@@ -146,20 +151,33 @@ class SoACache(object):
             value = _np.full(self.n, value[()])
         return value
 
-    def _densify(self, index, column):
+    def _densify(self, index, column, masked_store=False):
         """Convert a row-written (fallback-loaded) list column into the
-        contiguous array a vectorized reader expects."""
-        if any(v is None for v in column):
-            raise CacheFault(
-                "read of unfilled cache slot %d%s"
-                % (index, slot_detail(self, index)),
-                slot=index,
-            )
+        contiguous array a vectorized kernel expects.
+
+        A read needs every lane filled.  A masked store (a vectorized
+        delta refill over a cache a per-row loader filled) may write
+        into a column with unfilled lanes: they become zeros that stay
+        unfilled in the column's lane mask, and a column with no filled
+        lane is None."""
+        lanes = [v is not None for v in column]
+        if not all(lanes):
+            if not masked_store:
+                raise CacheFault(
+                    "read of unfilled cache slot %d%s"
+                    % (index, slot_detail(self, index)),
+                    slot=index,
+                )
+            if not any(lanes):
+                return None
+            sample = column[lanes.index(True)]
+            zero = (0,) * len(sample) if isinstance(sample, tuple) else 0
+            column = [zero if v is None else v for v in column]
         ty = self.layout[index].ty
         dtype = _np.int64 if ty is INT else float
         dense = _np.asarray(column, dtype=dtype)
         self.columns[index] = dense
-        self.filled[index] = True
+        self.filled[index] = True if all(lanes) else _np.asarray(lanes)
         return dense
 
     # -- per-lane access (scalar fallback) -----------------------------------

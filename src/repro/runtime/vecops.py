@@ -1,7 +1,7 @@
 """Vectorized runtime support for the batch execution backend.
 
 The scalar interpreter and compiler execute one pixel at a time; the
-batch backend executes whole pixel *arrays* through kernels emitted by
+batch backend executes whole pixel *arrays* through kernels built by
 :func:`repro.runtime.compiler.compile_batch_function`.  This module
 supplies everything those kernels call at run time:
 
@@ -38,8 +38,6 @@ and the garbage is discarded by the enclosing select.
 """
 
 from __future__ import annotations
-
-import math
 
 from ..lang.errors import EvalError
 from ..shaders import noise as _noise_mod
@@ -623,34 +621,3 @@ def _make_vec_builtins():
 
 
 VEC_BUILTINS = _make_vec_builtins() if HAVE_NUMPY else {}
-
-
-def batch_namespace():
-    """Execution namespace for batch kernels emitted by the compiler."""
-    if not HAVE_NUMPY:
-        raise BatchCompileError("NumPy is unavailable")
-    ns = {
-        "_np": _np,
-        "_ne0": _ne0,
-        "_mnot": _mnot,
-        "_mand": _mand,
-        "_mor": _mor,
-        "_sel": _sel,
-        "_selv": _selv,
-        "_mwhere": _mwhere,
-        "_land": _land,
-        "_lor": _lor,
-        "_lnot": _lnot,
-        "_czero": _czero,
-        "_full_mask": _full_mask,
-        "_bidiv": _bidiv,
-        "_bimod": _bimod,
-        "_bvscale": _bvscale,
-        "_bvdiv": _bvdiv,
-        "_expand": _expand,
-        "EvalError": EvalError,
-        "math": math,
-    }
-    for name, fn in VEC_BUILTINS.items():
-        ns["_vb_" + name] = fn
-    return ns

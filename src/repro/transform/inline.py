@@ -64,11 +64,13 @@ def _check_callee_shape(fn):
 
 
 def _local_names(fn):
-    names = set(fn.param_names())
+    """The callee's parameters, then its declarations, in source order
+    (so inlined names do not depend on string hashing)."""
+    names = list(fn.param_names())
     for node in A.walk(fn.body):
         if isinstance(node, A.VarDecl):
-            names.add(node.name)
-    return names
+            names.append(node.name)
+    return list(dict.fromkeys(names))
 
 
 class Inliner(object):

@@ -303,29 +303,27 @@ def loader_param_slots(loader, layout, params=None):
     dependence analysis' ``While`` rule, which taints every body-assigned
     name when the loop predicate is dependent.
     """
-    from ..analysis.dependence import dependence_analysis
+    from ..analysis.dependence import parameter_dependence
     from ..analysis.index import StructuralIndex, guard_predicate
 
-    index = StructuralIndex(loader)
-    stores = [
-        node for node in A.walk(loader.body) if isinstance(node, A.CacheStore)
-    ]
     if params is None:
         params = loader.param_names()
-    result = {}
-    for name in params:
-        dep = dependence_analysis(loader, {name})
-        dirty = set()
-        for store in stores:
-            if dep.is_dependent(store):
-                dirty.add(store.slot)
-                continue
-            for guard in index.guards_of(store):
-                if dep.is_dependent(guard_predicate(guard)):
-                    dirty.add(store.slot)
-                    break
-        result[name] = frozenset(dirty)
-    return result
+    dep, bits = parameter_dependence(loader, params)
+    dependent = dep.dependent
+    index = StructuralIndex(loader)
+    # Each store's mask: the parameters its value or any enclosing
+    # predicate depends on, all parameters in one analysis.
+    store_masks = []
+    for node in A.walk(loader.body):
+        if isinstance(node, A.CacheStore):
+            mask = dependent.get(node.nid, 0)
+            for guard in index.guards_of(node):
+                mask |= dependent.get(guard_predicate(guard).nid, 0)
+            store_masks.append((node.slot, mask))
+    return {
+        name: frozenset(slot for slot, mask in store_masks if mask & bits[name])
+        for name in params
+    }
 
 
 def _has_dirty_store(node, dirty):

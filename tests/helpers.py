@@ -118,3 +118,25 @@ def special_float_rows():
         for bits in SPECIAL_FLOAT_BITS
     ]
     return [tuple(values[k:k + 3]) for k in range(0, len(values), 3)]
+
+
+def per_parameter_slots(loader, params):
+    """The dirty-slot map computed one dependence analysis per
+    parameter: the reference ``loader_param_slots`` must equal."""
+    from repro.analysis.dependence import dependence_analysis
+    from repro.analysis.index import StructuralIndex, guard_predicate
+    from repro.lang import ast_nodes as A
+
+    index = StructuralIndex(loader)
+    stores = [n for n in A.walk(loader.body) if isinstance(n, A.CacheStore)]
+    mapping = {}
+    for name in params:
+        dep = dependence_analysis(loader, {name})
+        mapping[name] = frozenset(
+            store.slot for store in stores
+            if dep.is_dependent(store) or any(
+                dep.is_dependent(guard_predicate(guard))
+                for guard in index.guards_of(store)
+            )
+        )
+    return mapping

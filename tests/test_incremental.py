@@ -333,6 +333,28 @@ def test_delta_map_memoized_and_exposed():
     assert spec.delta_loader(frozenset()) is None
 
 
+def test_delta_map_equals_one_analysis_per_parameter():
+    """The one-walk delta map equals one dependence analysis per
+    invariant parameter, on every partition of every shader."""
+    from repro.transform.split import loader_param_slots
+
+    from .helpers import per_parameter_slots
+
+    for index, info in sorted(SHADERS.items()):
+        session = RenderSession(index, width=2, height=2, backend="scalar")
+        for param in info.control_params:
+            spec = session.specialize(param)
+            params = spec.invariant_params()
+            assert loader_param_slots(spec.loader, spec.layout, params) == (
+                per_parameter_slots(spec.loader, params)
+            ), (index, param)
+            everything = spec.loader.param_names()
+            assert loader_param_slots(spec.loader, spec.layout) == (
+                per_parameter_slots(spec.loader, everything)
+            ), (index, param)
+        session.close()
+
+
 def test_dirty_slot_profile_and_metrics():
     from repro.obs.cachestats import dirty_slot_profile
     from repro.obs.export import to_prometheus

@@ -187,3 +187,57 @@ class TestRejections:
         )
         with pytest.raises(SpecializationError):
             Inliner(program).inline_function("f")
+
+
+#: Prints a digest of every partition's original, loader and reader
+#: source (the names the inliner picks show up in all three).
+_SOURCES_DIGEST = """
+import hashlib
+from repro.shaders.render import RenderSession
+from repro.shaders.sources import SHADERS
+
+digest = hashlib.sha256()
+for index, info in sorted(SHADERS.items()):
+    session = RenderSession(index, width=2, height=2)
+    for param in info.control_params:
+        spec = session.specialize(param)
+        for text in (spec.original_source, spec.loader_source,
+                     spec.reader_source):
+            digest.update(text.encode())
+    session.close()
+print(digest.hexdigest())
+"""
+
+
+class TestNamingIsDeterministic:
+    def test_renames_follow_declaration_order(self):
+        _, fn = inline(
+            "float g(float zeta, float alpha) {"
+            "  float yy = zeta * alpha; float bb = yy + 1.0; return bb; }"
+            "float f(float a) { return g(a, 2.0); }",
+            "f",
+        )
+        declared = [n.name for n in A.walk(fn) if isinstance(n, A.VarDecl)]
+        assert declared[:4] == [
+            "__in0_zeta", "__in1_alpha", "__in2_yy", "__in3_bb"
+        ]
+
+    def test_sources_do_not_depend_on_the_hash_seed(self):
+        """Every shader partition's emitted sources are the same under
+        two string-hash seeds."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _SOURCES_DIGEST],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]

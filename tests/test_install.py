@@ -10,10 +10,12 @@ or a clone is still checked.
 """
 
 import struct
+import sys
 import threading
 
 import pytest
 
+from repro.core.frontend import shared_front_end
 from repro.core.specializer import DataSpecializer
 from repro.lang import ast_nodes as A
 from repro.lang import parser as lang_parser
@@ -21,8 +23,9 @@ from repro.lang import typecheck
 from repro.lang.errors import KernelTypeError, SourceError
 from repro.lang.link import Library
 from repro.lang.parser import parse_program
-from repro.lang.pretty import format_program
+from repro.lang.pretty import format_function, format_program
 from repro.lang.typecheck import check_program
+from repro.obs import NULL_OBS
 from repro.shaders import render
 from repro.shaders.install import PROGRAMS, ProgramCache
 from repro.shaders.library import LIBRARY_SOURCE
@@ -37,6 +40,23 @@ def snapshot(program):
         (type(node).__name__, node.nid, node.line, getattr(node, "ty", None))
         for node in A.walk(program)
     ]
+
+
+def snapshot_function(fn):
+    return format_function(fn), [
+        (type(node).__name__, node.nid, node.line, getattr(node, "ty", None))
+        for node in A.walk(fn)
+    ]
+
+
+def front_end_snapshots():
+    """Snapshots of every shader's shared front-end function."""
+    snapshots = {}
+    for index, info in SHADERS.items():
+        program = PROGRAMS.program(info)[0]
+        front, _ = shared_front_end(program, info.name, True, NULL_OBS)
+        snapshots[index] = snapshot_function(front.fn)
+    return snapshots
 
 
 def _bits(image):
@@ -106,6 +126,7 @@ class TestNeverWritten:
         and batch, plus a dispatch drag and reference renders: no pass
         writes a node of the shared programs."""
         before = {i: snapshot(PROGRAMS.program(SHADERS[i])[0]) for i in SHADERS}
+        fronts_before = front_end_snapshots()
         for index, info in sorted(SHADERS.items()):
             for backend in ("scalar", "batch"):
                 session = RenderSession(
@@ -130,6 +151,7 @@ class TestNeverWritten:
         session.close()
         after = {i: snapshot(PROGRAMS.program(SHADERS[i])[0]) for i in SHADERS}
         assert after == before
+        assert front_end_snapshots() == fronts_before
 
     def test_published_program_is_not_walked_again(self, monkeypatch):
         program = PROGRAMS.program(SHADERS[5])[0]
@@ -191,6 +213,106 @@ class TestThreads:
         assert len(programs) == 1
         assert results[0][0] is fresh_cache.program(SHADERS[3])[0]
         assert len({(bits, cost) for _, bits, cost in results}) == 1
+
+
+class TestFrontEnds:
+    """The partition-free front end (inline, SSA, check) of a published
+    program runs once per shader and per process."""
+
+    @pytest.mark.parametrize("index", sorted(SHADERS))
+    def test_shared_front_end_equals_a_fresh_run(self, index):
+        """Every partition specialized from the shared front end emits
+        the code, node ids and cache layout of a private run (a clone of
+        the program is not published, so it runs the front end)."""
+        info = SHADERS[index]
+        program = PROGRAMS.program(info)[0]
+        shared = DataSpecializer(program)
+        private = DataSpecializer(A.clone(program))
+        for param in info.control_params:
+            a = shared.specialize(info.name, {param})
+            b = private.specialize(info.name, {param})
+            for text in ("original_source", "loader_source",
+                         "reader_source"):
+                assert getattr(a, text) == getattr(b, text), (param, text)
+            assert snapshot_function(a.original) == (
+                snapshot_function(b.original)
+            )
+            assert a.layout.describe() == b.layout.describe()
+            assert a.delta_map() == b.delta_map()
+            assert a.original is not b.original
+
+    def test_second_session_reuses_the_front_end(self, fresh_cache):
+        def inline_spans():
+            session = RenderSession(4, width=2, height=2, obs=True)
+            session.specialize(session.spec_info.control_params[0])
+            session.specialize(session.spec_info.control_params[1])
+            return [s.attrs.get("cached", False)
+                    for s in session.obs.tracer.spans
+                    if s.name == "specialize.inline"]
+
+        assert inline_spans() == [False, True]
+        assert inline_spans() == [True, True]
+
+    def test_specializations_get_private_copies(self):
+        info = SHADERS[2]
+        program = PROGRAMS.program(info)[0]
+        front, _ = shared_front_end(program, info.name, True, NULL_OBS)
+        specializer = DataSpecializer(program)
+        first = specializer.specialize(info.name, {info.control_params[0]})
+        second = specializer.specialize(info.name, {info.control_params[0]})
+        shared = set(map(id, A.walk(front.fn)))
+        for spec in (first, second):
+            assert shared.isdisjoint(map(id, A.walk(spec.original)))
+        assert first.original is not second.original
+
+    def test_ssa_option_is_part_of_the_key(self, fresh_cache):
+        info = SHADERS[3]
+        program = fresh_cache.program(info)[0]
+        with_ssa, _ = shared_front_end(program, info.name, True, NULL_OBS)
+        without, cached = shared_front_end(program, info.name, False,
+                                           NULL_OBS)
+        assert not cached and without is not with_ssa
+        assert any(getattr(node, "is_phi", False)
+                   for node in A.walk(with_ssa.fn))
+        assert not any(getattr(node, "is_phi", False)
+                       for node in A.walk(without.fn))
+
+    def test_concurrent_specializations_build_one_front_end(
+            self, fresh_cache):
+        count = 8
+        barrier = threading.Barrier(count)
+        info = SHADERS[6]
+        program = fresh_cache.program(info)[0]
+        results = [None] * count
+        errors = []
+
+        def build(slot):
+            try:
+                barrier.wait()
+                param = info.control_params[slot % len(info.control_params)]
+                results[slot] = (
+                    shared_front_end(program, info.name, True,
+                                     NULL_OBS)[0],
+                    DataSpecializer(program).specialize(
+                        info.name, {param}).loader_source,
+                )
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(k,))
+                   for k in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len({id(front) for front, _ in results}) == 1
 
 
 LINK_ERRORS = {

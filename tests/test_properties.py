@@ -373,3 +373,151 @@ def test_interpreter_compiler_cost_free_agreement(src, varying, base):
     spec.compiled_loader(*base, cache_compiled)
     _, cache_interp, _ = spec.run_loader(base)
     assert cache_compiled == cache_interp
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen_program(), varying_sets)
+def test_delta_map_equals_one_analysis_per_parameter(src, varying):
+    """The one-walk delta map equals one dependence analysis per
+    parameter."""
+    from repro.transform.split import loader_param_slots
+
+    from .helpers import per_parameter_slots
+
+    spec = DataSpecializer(parse_program(src)).specialize("f", varying)
+    params = spec.loader.param_names()
+    assert loader_param_slots(spec.loader, spec.layout, params) == (
+        per_parameter_slots(spec.loader, params)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Batch kernels against the interpreter
+# ---------------------------------------------------------------------------
+
+#: Why the vectorizer may reject a generated program (early returns
+#: inside loops); anything else is a bug.
+BATCH_FALLBACK_REASONS = frozenset(["return inside a loop"])
+
+lane_args = st.lists(arg_lists, min_size=1, max_size=6)
+
+
+def _columns(rows):
+    import numpy as np
+
+    return [np.asarray(column, dtype=np.int64) for column in zip(*rows)]
+
+
+def _batch_kernel(fn):
+    from repro.runtime.batch import BatchKernel
+
+    kernel = BatchKernel(fn)
+    if not kernel.vectorized:
+        assert kernel.fallback_reason in BATCH_FALLBACK_REASONS
+    return kernel
+
+
+def _assert_lanes(kernel, rows, expected, cache=None):
+    """``kernel`` over ``rows`` gives the interpreter's per-lane
+    ``(value, cost)`` pairs exactly."""
+    from repro.runtime.batch import value_rows
+
+    values, costs = kernel.run_lanes(_columns(rows), len(rows), cache=cache)
+    got = value_rows(values, len(rows))
+    assert got == [value for value, _ in expected]
+    assert [int(cost) for cost in costs] == [cost for _, cost in expected]
+
+
+def _assert_caches(batch_cache, caches):
+    for lane, cache in enumerate(caches):
+        assert list(batch_cache.row(lane)[k] for k in range(len(cache))) \
+            == cache
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen_program(), varying_sets, lane_args, arg_lists)
+def test_batch_kernels_match_the_interpreter(src, varying, rows, delta):
+    """Original, loader, reader and one delta kernel: per-lane values
+    and costs equal the interpreter's, vectorized or not."""
+    from repro.runtime.batch import HAVE_NUMPY
+    from repro.runtime.interp import CostMeter, Interpreter
+
+    if not HAVE_NUMPY:
+        return
+    spec = DataSpecializer(parse_program(src)).specialize("f", varying)
+    n = len(rows)
+    _assert_lanes(
+        _batch_kernel(spec.original), rows,
+        [spec.run_original(row) for row in rows],
+    )
+    loaded = [spec.run_loader(row) for row in rows]
+    batch_cache = spec.new_batch_cache(n)
+    _assert_lanes(
+        _batch_kernel(spec.loader), rows,
+        [(value, cost) for value, _, cost in loaded], cache=batch_cache,
+    )
+    caches = [cache for _, cache, _ in loaded]
+    _assert_caches(batch_cache, caches)
+    moved = [make_variant(row, varying, delta) for row in rows]
+    _assert_lanes(
+        _batch_kernel(spec.reader), moved,
+        [spec.run_reader(cache, row) for cache, row in zip(caches, moved)],
+        cache=batch_cache,
+    )
+    invariant = [name for name in spec.invariant_params()
+                 if spec.dirty_slots([name])]
+    if not invariant:
+        return
+    dirty = spec.dirty_slots(invariant[:1])
+    delta_fn = spec.delta_loader(dirty)
+    edited = [make_variant(row, invariant[:1], delta) for row in rows]
+    refilled = []
+    for row, cache in zip(edited, caches):
+        meter = CostMeter()
+        value = Interpreter().run(delta_fn, row, cache=cache, meter=meter)
+        refilled.append((value, meter.total))
+    _assert_lanes(
+        _batch_kernel(delta_fn), edited, refilled, cache=batch_cache
+    )
+    _assert_caches(batch_cache, caches)
+
+
+def _runaway(src):
+    """``src`` with a loop that never ends ahead of its statements."""
+    head, body = src.split("\n", 1)
+    return "%s\n    int spin = 0;\n    while (p0 == p0) {\n" \
+        "        spin = spin + 1;\n    }\n%s" % (head, body)
+
+
+@settings(max_examples=20, deadline=None)
+@given(gen_program(), varying_sets, lane_args)
+def test_batch_runaway_loop_raises_eval_error(src, varying, rows):
+    """A runaway loop stops with the same typed error on every kernel:
+    the batch loop budget when vectorized, the interpreter's step budget
+    on the per-row fallback."""
+    import pytest
+
+    from repro.lang.errors import EvalError
+    from repro.runtime import compiler
+    from repro.runtime.batch import HAVE_NUMPY, BatchKernel
+
+    if not HAVE_NUMPY:
+        return
+    spec = DataSpecializer(parse_program(_runaway(src))).specialize(
+        "f", varying
+    )
+    cap = compiler._MAX_BATCH_LOOP_ITERATIONS
+    compiler._MAX_BATCH_LOOP_ITERATIONS = 16
+    try:
+        for fn in (spec.original, spec.loader):
+            kernel = BatchKernel(fn, max_steps=2000)
+            if kernel.vectorized:
+                message = "batch loop iteration budget exceeded"
+            else:
+                assert kernel.fallback_reason in BATCH_FALLBACK_REASONS
+                message = "interpreter step budget exceeded"
+            cache = spec.new_batch_cache(len(rows))
+            with pytest.raises(EvalError, match=message):
+                kernel.run_lanes(_columns(rows), len(rows), cache=cache)
+    finally:
+        compiler._MAX_BATCH_LOOP_ITERATIONS = cap
