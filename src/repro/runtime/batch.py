@@ -462,6 +462,13 @@ def cost_total(lane_costs):
     return int(lane_costs.sum())
 
 
+def cost_list(lane_costs):
+    """Per-lane step costs as a list of Python ints."""
+    if isinstance(lane_costs, list):
+        return list(lane_costs)
+    return lane_costs.tolist()
+
+
 def cost_max(lane_costs):
     """The costliest lane's steps (0 for no lanes), as a Python int."""
     if len(lane_costs) == 0:
@@ -517,43 +524,33 @@ def run_dispatch(table, kernel_for, cache, columns, n):
     Group lanes by their cached dispatch code, run each group's reader
     variant kernel over the gathered sub-columns and sub-cache, and
     scatter the results back in lane order.  ``kernel_for(code)`` maps a
-    dispatch code to that variant's (memoized) :class:`BatchKernel`.
-    Returns ``(per_lane_values, total_cost)``.
+    dispatch code to that variant's (memoized) :class:`BatchKernel`, so
+    the kernels' step budget holds on both paths.  Returns
+    ``(per_lane_values, lane_costs)``.
     """
-    if not HAVE_NUMPY:
-        # Row-at-a-time: structurally identical to the scalar loop.
-        interp = Interpreter()
-        rows = [_column_rows(column, n) for column in columns]
-        values = [None] * n
-        total = 0
+    if HAVE_NUMPY:
+        codes = _np.asarray(cache.load(table.dispatch_slot))
+        groups = [
+            (int(code), _np.nonzero(codes == code)[0].tolist())
+            for code in _np.unique(codes)
+        ]
+    else:
+        lanes = {}
         for i in range(n):
-            row_cache = cache.row(i)
-            variant = table.select(row_cache)
-            meter = CostMeter()
-            values[i] = interp.run(
-                variant,
-                [column[i] for column in rows],
-                cache=row_cache,
-                meter=meter,
-            )
-            total += meter.total
-        return values, total
-
-    codes = _np.asarray(cache.load(table.dispatch_slot))
+            lanes.setdefault(table.code_of(cache.row(i)), []).append(i)
+        groups = sorted(lanes.items())
     values = [None] * n
-    total = 0
-    for code in _np.unique(codes):
-        idx = _np.nonzero(codes == code)[0]
-        sub_columns = [_gather(column, idx) for column in columns]
-        sub_cache = cache.gather(idx)
-        group_values, cost = kernel_for(int(code)).run(
-            sub_columns, len(idx), cache=sub_cache
+    costs = [0] * n
+    for code, idx in groups:
+        group_values, group_costs = kernel_for(code).run_lanes(
+            [_gather(column, idx) for column in columns], len(idx),
+            cache=cache.gather(idx),
         )
-        total += cost
         group_rows = _column_rows(group_values, len(idx))
-        for j, i in enumerate(idx.tolist()):
-            values[i] = group_rows[j]
-    return values, total
+        for i, value, cost in zip(idx, group_rows, cost_list(group_costs)):
+            values[i] = value
+            costs[i] = cost
+    return values, costs
 
 
 def _gather(column, idx):

@@ -404,13 +404,10 @@ class GuardedExecutor(object):
         if cache is None:
             cache = self.spec.new_batch_cache(n)
         try:
-            values, lane_costs = self.spec.batch_kernel(
-                "loader", self._cap
-            ).run_lanes(columns, n, cache=cache)
-            rows = B.value_rows(values, n)
-            costs = _cost_list(lane_costs)
+            rows, costs, over = self._run_kernel("loader", columns, n, cache)
         except GUARDED_FAULTS:
             rows, costs = self._rows_loader(cache, columns, n)
+            over = set()
         forced = self._forced_lanes("load", n)
         if forced:
             arg_rows = [_column_rows(c, n) for c in columns]
@@ -424,8 +421,9 @@ class GuardedExecutor(object):
                 self.log.record("load", i, None, "injected kernel fault", ref_cost)
                 rows[i] = ref
                 costs[i] = ref_cost
-        rows, costs = self._patch_nonfinite(
-            "load", rows, costs, columns, n, mark_failed=True
+                over.discard(i)
+        rows, costs = self._patch_lanes(
+            "load", rows, costs, columns, n, over, mark_failed=True
         )
         return rows, cache, sum(costs)
 
@@ -439,16 +437,29 @@ class GuardedExecutor(object):
             rows, costs = self._split_reader(cache, columns, n, invalid)
             return rows, sum(costs)
         try:
-            values, lane_costs = self.spec.batch_kernel(
-                "reader", self._cap
-            ).run_lanes(columns, n, cache=cache)
-            rows = B.value_rows(values, n)
-            costs = _cost_list(lane_costs)
+            rows, costs, over = self._run_kernel("reader", columns, n, cache)
         except GUARDED_FAULTS:
             rows, costs = self._rows_reader(cache, columns, n)
             return rows, sum(costs)
-        rows, costs = self._patch_nonfinite("adjust", rows, costs, columns, n)
+        rows, costs = self._patch_lanes(
+            "adjust", rows, costs, columns, n, over
+        )
         return rows, sum(costs)
+
+    def _run_kernel(self, which, columns, n, cache):
+        """One whole-frame kernel run: ``(rows, costs, over)``, where
+        ``over`` holds the lanes whose metered cost blew the tightened
+        step budget (lanes the scalar interpreter would have aborted)."""
+        values, lane_costs = self.spec.batch_kernel(
+            which, self._cap
+        ).run_lanes(columns, n, cache=cache)
+        costs = B.cost_list(lane_costs)
+        cap = self._cap
+        over = (
+            set() if cap is None
+            else {i for i, cost in enumerate(costs) if cost > cap}
+        )
+        return B.value_rows(values, n), costs, over
 
     def _invalid_lanes(self, phase, cache, n):
         """Lanes that must not run through the reader kernel: loader
@@ -488,17 +499,16 @@ class GuardedExecutor(object):
             sub_columns = [B._gather(c, valid) for c in columns]
             sub_cache = cache.gather(valid)
             try:
-                values, lane_costs = self.spec.batch_kernel(
-                    "reader", self._cap
-                ).run_lanes(sub_columns, len(valid), cache=sub_cache)
-                sub_rows = B.value_rows(values, len(valid))
-                sub_costs = _cost_list(lane_costs)
+                sub_rows, sub_costs, over = self._run_kernel(
+                    "reader", sub_columns, len(valid), sub_cache
+                )
             except GUARDED_FAULTS:
                 sub_rows, sub_costs = self._rows_reader(
                     sub_cache, sub_columns, len(valid), lane_ids=valid
                 )
-            sub_rows, sub_costs = self._patch_nonfinite(
-                "adjust", sub_rows, sub_costs, sub_columns, len(valid),
+                over = set()
+            sub_rows, sub_costs = self._patch_lanes(
+                "adjust", sub_rows, sub_costs, sub_columns, len(valid), over,
                 lane_ids=valid,
             )
             for j, i in enumerate(valid):
@@ -509,7 +519,7 @@ class GuardedExecutor(object):
             bad_columns, len(invalid)
         )
         ref_rows = B.value_rows(ref_values, len(invalid))
-        ref_cost_list = _cost_list(ref_costs)
+        ref_cost_list = B.cost_list(ref_costs)
         for j, i in enumerate(invalid):
             rows[i] = ref_rows[j]
             costs[i] = ref_cost_list[j]
@@ -562,36 +572,36 @@ class GuardedExecutor(object):
             )
         return rows, costs
 
-    def _patch_nonfinite(
-        self, phase, rows, costs, columns, n, mark_failed=False, lane_ids=None
+    def _patch_lanes(
+        self, phase, rows, costs, columns, n, over, mark_failed=False,
+        lane_ids=None,
     ):
-        """Replace non-finite per-lane results with the original's
-        answer — unless the original is non-finite in exactly the same
-        way (a legitimate value, not a fault)."""
+        """Replace a lane's result with the original's answer when it is
+        in ``over`` (it blew the step budget), or came out non-finite
+        where the original is not non-finite in exactly the same way (a
+        legitimate value, not a fault)."""
         arg_rows = None
         for i in range(n):
-            if rows[i] is not None and _finite(rows[i]):
+            blown = i in over
+            if not blown and rows[i] is not None and _finite(rows[i]):
                 continue
             if arg_rows is None:
                 arg_rows = [_column_rows(c, n) for c in columns]
             ref, ref_cost = self.spec.run_original(
                 [col[i] for col in arg_rows]
             )
-            if _same(rows[i], ref):
+            if blown:
+                error = "step budget exceeded (%d steps > budget %d)" % (
+                    costs[i], self._cap,
+                )
+            elif _same(rows[i], ref):
                 continue
+            else:
+                error = "non-finite result %r" % (rows[i],)
             pixel = i if lane_ids is None else lane_ids[i]
             if mark_failed:
                 self._failed.add(pixel)
-            self.log.record(
-                phase, pixel, None,
-                "non-finite result %r" % (rows[i],), ref_cost,
-            )
+            self.log.record(phase, pixel, None, error, ref_cost)
             rows[i] = ref
             costs[i] = ref_cost
         return rows, costs
-
-
-def _cost_list(lane_costs):
-    if isinstance(lane_costs, list):
-        return list(lane_costs)
-    return [int(c) for c in lane_costs.tolist()]

@@ -37,9 +37,9 @@ whole-frame ``load``/``adjust`` on either backend) with:
   cost from the :class:`~repro.runtime.interp.CostMeter` totals —
   exportable as JSON (``repro health``).
 
-The supervised fast path is *transparent*: with no faults injected and
-no deadline tripping, rung 0 executes exactly the calls the
-unsupervised session would, so colors and cost totals stay
+The supervised fast path is *transparent* by construction: an edit
+session's rung 0 is the very runner its unsupervised frames run alone,
+so with no fault and no deadline tripping, colors and cost totals are
 byte-identical (gated by ``tests/test_supervise.py``).
 """
 

@@ -18,6 +18,7 @@ costs the paper's figures are built from.
 
 from __future__ import annotations
 
+import functools
 import struct
 import time
 import weakref
@@ -33,7 +34,6 @@ from ..runtime import parallel as P
 from ..runtime import values as V
 from ..runtime.colors import ColorColumn, color_column
 from ..runtime.guard import FaultLog
-from ..runtime.interp import CostMeter, Interpreter
 from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, Rung
 from .install import PROGRAMS
@@ -86,7 +86,12 @@ class EditSession(object):
     With a dispatch table (Section 7.2), the loader additionally records
     each pixel's dispatch code and ``adjust`` runs the per-pixel
     *selected* reader variant — different pixels may take different
-    variants (e.g. the two tiles of a checkerboard)."""
+    variants (e.g. the two tiles of a checkerboard).
+
+    Frames are served by :attr:`runner`, built once from the drag's
+    plan.  Unsupervised, a frame is that runner alone; supervised, the
+    same runner heads the degradation ladder ``[runner, scalar runner
+    (batch drags only), original, lkg]``."""
 
     def __init__(self, render_session, specialization, param, plan,
                  table=None, supervisor=None, incremental=None):
@@ -99,13 +104,6 @@ class EditSession(object):
         #: :meth:`RenderSession.begin_edit`.
         self.plan = plan
         self.backend = plan.backend
-        self._executor = (
-            P.TileExecutor(
-                workers=plan.workers, tile=plan.tile,
-                pool=render_session.pool, injector=plan.pool_injector,
-            )
-            if plan.tiled else None
-        )
         render_session._edits.add(self)
         #: Telemetry bundle inherited from the session: frame spans,
         #: cost histograms, cache/guard metrics.
@@ -118,9 +116,6 @@ class EditSession(object):
         if supervisor is None:
             supervisor = render_session.supervisor
         self.supervisor = supervisor or None
-        pool = self._executor.pool if self._executor is not None else None
-        if self.supervisor is not None and pool is not None:
-            self.supervisor.pool = pool
         #: Guarded execution: faults are contained to the pixel/lane
         #: that raised them (fallback to ``run_original``) and recorded
         #: in :attr:`fault_log`.  A supervised guard inherits the
@@ -139,6 +134,21 @@ class EditSession(object):
                     if self.supervisor is not None else None
                 ),
             )
+        #: The :class:`BatchRunner` or :class:`ScalarRunner` serving
+        #: this drag; its guard / dispatch / tiled / plain step is
+        #: picked here, once.  A supervised batch drag degrades to a
+        #: scalar runner before leaving specialized code.
+        self.runner = (
+            BatchRunner(self) if plan.backend == "batch"
+            else ScalarRunner(self)
+        )
+        self._runners = (self.runner,)
+        if self.runner.name == "batch":
+            self._runners += (ScalarRunner(self),)
+        executor = self.runner.executor
+        if self.supervisor is not None and executor is not None \
+                and executor.pool is not None:
+            self.supervisor.pool = executor.pool
         #: Scalar backend: one slot list per pixel.  Batch backend: one
         #: shared :class:`~repro.runtime.batch.SoACache` for the frame.
         self.caches = None
@@ -152,6 +162,13 @@ class EditSession(object):
             incremental if incremental is not None
             else render_session.incremental
         )
+        # Dispatch tables select variants per pixel, so their caches
+        # carry no parameter->slot map to slice on; fault injection
+        # perturbs the guard's fallback pattern, so a delta refill would
+        # not be comparable to a full load.
+        self._sliceable = table is None and (
+            self.guard is None or self.guard.injector is None
+        )
         #: How the most recent frame was served: ``"full"`` load,
         #: ``"delta"`` (sliced refill), ``"noop"`` (no cache slot
         #: dirtied; reader re-run on the existing cache), or
@@ -160,28 +177,19 @@ class EditSession(object):
         #: Ladder rung that served the most recent supervised request
         #: (None when unsupervised).
         self.last_rung = None
-        self._load_rung = None
         self._load_controls = None
         self._invariants = tuple(
             name for name in render_session.spec_info.control_params
             if name not in specialization.varying
         )
-        self._interp = None
-        self._loader_kernel = None
-        self._variant_kernels = {}
-        if table is not None:
-            self._interp = Interpreter(
-                max_steps=specialization.options.max_steps
-            )
 
     def close(self):
         """Release this drag's shared memory — the tiled executor's
         arenas and the frame cache's — without touching the worker pool
         the session's other drags share.  Safe to call repeatedly; a
         service hosting many sessions calls this when a session ends."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        if self.runner.executor is not None:
+            self.runner.executor.close()
         if isinstance(self.caches, B.ShmSoACache):
             self.caches.arena.release()
 
@@ -208,14 +216,14 @@ class EditSession(object):
     def load(self, controls):
         """Run the loader for every pixel; returns the resulting Image."""
         if not self.obs.enabled:
-            return self._load_frame(controls)
+            return self._load(controls)
         with self.obs.span(
             "render.load", shader=self.render_session.spec_info.name,
             partition=self.param, backend=self.backend,
             pixels=len(self.render_session.scene), tiled=self.plan.tiled,
             workers=self.plan.workers, transport=self.plan.transport,
         ) as span:
-            image = self._load_frame(controls)
+            image = self._load(controls)
             span.set(
                 cost=image.total_cost, rung=self._rung_label(),
                 path=self.last_path,
@@ -240,46 +248,110 @@ class EditSession(object):
             )
         self.last_path = "adjust"
         if not self.obs.enabled:
-            return self._adjust_frame(controls)
+            return self._serve("adjust", controls)
         with self.obs.span(
             "render.adjust", shader=self.render_session.spec_info.name,
             partition=self.param, backend=self.backend,
             pixels=len(self.render_session.scene), tiled=self.plan.tiled,
             workers=self.plan.workers, transport=self.plan.transport,
         ) as span:
-            image = self._adjust_frame(controls)
+            image = self._serve("adjust", controls)
             span.set(cost=image.total_cost, rung=self._rung_label())
         with self.obs.span("obs.record", phase="adjust"):
             self._record_frame("adjust", image)
         return image
 
-    def _load_frame(self, controls):
+    def _load(self, controls):
         if self.incremental:
             image = self._incremental_load(controls)
             if image is not None:
                 return image
         self.last_path = "full"
-        if self.supervisor is not None:
-            return self._supervised_load(controls)
-        if self.guard is not None:
-            self.guard.begin_load()
-        if self.backend == "batch":
-            colors, cache, total = self._load_batch(controls)
-        else:
-            colors, cache, total = self._load_scalar(controls)
-        self.caches = cache
-        self.load_cost = total
-        self._load_controls = dict(controls)
+        return self._serve("load", controls)
+
+    # -- the ladder ----------------------------------------------------------
+
+    def _serve(self, phase, controls):
+        """Serve one whole-frame load or adjust.  Unsupervised, that is
+        the primary runner's rung alone: no catch, no deadline, no
+        breaker.  Supervised, the same rung heads the ladder."""
+        rung = self._load_with if phase == "load" else self._adjust_with
+        if self.supervisor is None:
+            colors, total = rung(self.runner, controls, None)
+            return self._image(colors, total)
+        # A scalar-built cache array cannot feed the batch runner, so it
+        # only appears on an adjust ladder when the caches are (or can
+        # be rebuilt as) its own kind.
+        rungs = [
+            Rung(runner.name, functools.partial(rung, runner, controls))
+            for runner in self._runners
+            if phase == "load" or runner.takes(self.caches)
+        ]
+        rungs.append(Rung(
+            "original", functools.partial(self._original, phase, controls)
+        ))
+        rungs.append(Rung(
+            "lkg", functools.partial(self._last_known_good, phase, controls)
+        ))
+        colors, total, self.last_rung = self.supervisor.run_request(
+            self._key(), phase, rungs, len(self.render_session.scene),
+            fault_log=self.fault_log,
+        )
+        self._drop_caches_if_tripped()
         return self._image(colors, total)
 
-    def _adjust_frame(self, controls):
-        if self.supervisor is not None:
-            return self._supervised_adjust(controls)
-        if self.backend == "batch":
-            colors, total = self._adjust_batch(controls)
-        else:
-            colors, total = self._adjust_scalar(controls)
-        return self._image(colors, total)
+    def _load_with(self, runner, controls, cap):
+        colors, caches, total = runner.load(controls, cap)
+        self._commit(caches, total, controls)
+        return colors, total
+
+    def _adjust_with(self, runner, controls, cap):
+        if self.caches is None:
+            # A load served while the breaker was open (or degraded to
+            # the original) left no caches: rebuild them from the load
+            # controls, so the half-open probe genuinely tests the
+            # specialized path end to end.
+            caches = runner.load(self._load_controls, cap)[1]
+            self._commit(caches, self.load_cost, self._load_controls)
+        return runner.adjust(controls, self.caches, cap)
+
+    def _original(self, phase, controls, cap):
+        """The unspecialized shader over the whole frame — the ladder's
+        safety valve, deliberately uncapped (``options.max_steps`` still
+        bounds it)."""
+        image = self.render_session._render_reference(
+            controls, self.specialization
+        )
+        if phase == "load":
+            self._commit(None, image.total_cost, controls)
+        return image.colors, image.total_cost
+
+    def _last_known_good(self, phase, controls, cap):
+        colors = self.supervisor.last_known_good(self._key(), phase)
+        if colors is None:
+            raise SupervisionError("no last-known-good %s frame" % phase)
+        if phase == "load":
+            self._commit(None, 0, controls)
+        return colors, 0
+
+    def _commit(self, caches, load_cost, controls):
+        """The one place a served load (full, delta or degraded) or a
+        rebuilt cache lands on the drag."""
+        self.caches = caches
+        self.load_cost = load_cost
+        self._load_controls = dict(controls)
+
+    def _drop_caches_if_tripped(self):
+        """An open breaker invalidates this drag's caches: whatever
+        poisoned the window may live in them, so the half-open probe
+        must rebuild from scratch rather than re-test known-suspect
+        state."""
+        breaker = self.supervisor.breakers.get(self._key())
+        if breaker is not None and breaker.state != "closed":
+            self.caches = None
+
+    def _key(self):
+        return (self.render_session.spec_info.name, self.param)
 
     def _image(self, colors, total):
         scene = self.render_session.scene
@@ -313,17 +385,9 @@ class EditSession(object):
         slots; returns None whenever the delta path does not apply (or
         faults), in which case the caller runs a full load."""
         spec = self.specialization
-        if self.table is not None:
-            # Dispatch tables select variants per pixel; their caches
-            # carry no parameter->slot dependence map to slice on.
+        if not self._sliceable or self._load_controls is None:
             return None
-        if self.guard is not None and self.guard.injector is not None:
-            # Fault injection perturbs the guarded fallback pattern, so
-            # a delta refill would not be comparable to a full load.
-            return None
-        if self.caches is None or self._load_controls is None:
-            return None
-        if self.backend == "batch" and not isinstance(self.caches, B.SoACache):
+        if self.caches is None or not self.runner.takes(self.caches):
             return None
         if self.supervisor is not None:
             breaker = self.supervisor.breakers.get(self._key())
@@ -351,23 +415,18 @@ class EditSession(object):
 
     def _delta_frame(self, controls, dirty):
         """Refill the dirty slots in place, then serve the frame through
-        the reader; commits the updated load state on success."""
+        the reader; commits the updated load state on success.
+
+        The delta path bypasses the degradation ladder: it only runs
+        when the breaker is closed, and any fault falls back to a fully
+        supervised full load."""
         start = time.perf_counter()
+        runner, caches = self.runner, self.caches
+        delta_cost = runner.refill(controls, caches, dirty) if dirty else 0
+        colors, reader_cost = runner.adjust(controls, caches, None)
+        self._commit(caches, delta_cost + reader_cost, controls)
         if self.supervisor is not None:
-            # The delta path bypasses the degradation ladder: it only
-            # runs when the breaker is closed, and any fault falls back
-            # to a fully supervised full load.
-            self.last_rung = self.backend
-            self._load_rung = self.backend
-        if self.backend == "batch":
-            delta_cost = self._refill_batch(controls, dirty) if dirty else 0
-            colors, reader_cost = self._adjust_batch(controls)
-        else:
-            delta_cost = self._refill_scalar(controls, dirty) if dirty else 0
-            colors, reader_cost = self._adjust_scalar(controls)
-        total = delta_cost + reader_cost
-        self.load_cost = total
-        self._load_controls = dict(controls)
+            self.last_rung = runner.name
         self.last_path = "delta" if dirty else "noop"
         if self.obs.enabled:
             elapsed = time.perf_counter() - start
@@ -381,65 +440,7 @@ class EditSession(object):
                     shader=self.render_session.spec_info.name,
                     partition=self.param,
                 ).observe(len(colors) / elapsed)
-        return self._image(colors, total)
-
-    def _refill_batch(self, controls, dirty):
-        """Run the sliced delta kernel over the whole frame, splicing
-        the refreshed columns into the existing SoA cache in place.
-
-        The refill itself runs unguarded — a contained fault here could
-        leave a half-refilled column, so any exception aborts the whole
-        delta path and the caller falls back to a (guarded) full load.
-        The reader pass that serves the frame still routes through the
-        guard."""
-        spec = self.specialization
-        session = self.render_session
-        n = len(session.scene)
-        columns = session.batch_args(controls)
-        cache = self.caches
-        kernel = spec.delta_kernel(dirty)
-        cache.reset_columns(dirty)
-        if self._executor is not None:
-            _, lane_costs = self._executor.run(
-                kernel, columns, n, frame_cache=cache, layout=spec.layout,
-                width=session.scene.width, obs=self.obs,
-                shader=session.spec_info.name, partition=self.param,
-                phase="delta", refill=True,
-                on_pool_incident=self._pool_incident_hook("delta"),
-            )
-        else:
-            _, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-        return self._frame_cost(lane_costs, None, "delta")
-
-    def _refill_scalar(self, controls, dirty):
-        """Per-pixel delta-loader sweep over the existing scalar caches
-        (or over SoA rows, when a supervised ladder degradation left a
-        batch cache behind a scalar drag)."""
-        spec = self.specialization
-        session = self.render_session
-        caches = self.caches
-        soa = isinstance(caches, B.SoACache)
-        if soa:
-            caches.reset_columns(dirty)
-        observe = self.obs.enabled
-        pixel_costs = [] if observe else None
-        total = 0
-        for index, pixel in enumerate(session.scene):
-            if soa:
-                cache = caches.row(index)
-            else:
-                cache = caches[index]
-                for k in dirty:
-                    cache[k] = None
-            cost = spec.run_delta(
-                session.args_for(pixel, controls), cache, dirty
-            )
-            total += cost
-            if observe:
-                pixel_costs.append(cost)
-        if observe:
-            self._observe_pixel_costs("delta", pixel_costs)
-        return total
+        return self._image(colors, self.load_cost)
 
     def _note_incremental(self, outcome, dirty, reason=None):
         """Incremental-edit telemetry: outcome counts, slots refilled,
@@ -501,30 +502,30 @@ class EditSession(object):
         return hook
 
     def _frame_cost(self, lane_costs, cap, phase):
-        """Exact frame total of one batch run's per-lane costs.
+        """Exact frame total of one run's per-pixel costs.
 
-        Under a step ``cap`` the worst lane is checked first; the
-        per-pixel histogram is fed only when telemetry is on."""
+        A whole-frame kernel cannot abort mid-frame the way the scalar
+        interpreter does, so under a step ``cap`` the worst lane is
+        checked post hoc and the frame is discarded (never committed)
+        when any lane blew it."""
         if cap is not None:
-            self._lane_deadline(
-                lane_costs, cap, "loader" if phase == "load" else "reader"
-            )
+            worst = B.cost_max(lane_costs)
+            if worst > cap:
+                raise DeadlineError(
+                    "batch %s blew the per-pixel step deadline "
+                    "(%d steps > budget %d)"
+                    % ("loader" if phase == "load" else "reader", worst, cap)
+                )
         if self.obs.enabled:
-            self._observe_pixel_costs(phase, lane_costs)
+            self.obs.registry.histogram(
+                "repro_pixel_cost_steps",
+                "Per-pixel abstract CostMeter steps for loader/reader runs.",
+                ("shader", "partition", "phase"),
+            ).labels(
+                shader=self.render_session.spec_info.name,
+                partition=self.param, phase=phase,
+            ).observe_many(lane_costs)
         return B.cost_total(lane_costs)
-
-    def _observe_pixel_costs(self, phase, costs):
-        """Feed exact per-pixel CostMeter totals into the step
-        histogram (only called on paths that have them)."""
-        histogram = self.obs.registry.histogram(
-            "repro_pixel_cost_steps",
-            "Per-pixel abstract CostMeter steps for loader/reader runs.",
-            ("shader", "partition", "phase"),
-        ).labels(
-            shader=self.render_session.spec_info.name,
-            partition=self.param, phase=phase,
-        )
-        histogram.observe_many(costs)
 
     def _record_frame(self, phase, image):
         """Per-request metrics once a frame was served."""
@@ -593,185 +594,245 @@ class EditSession(object):
                 shader=shader, partition=self.param,
             )
 
-    # -- scalar backend ------------------------------------------------------
 
-    def _load_scalar(self, controls, cap=None):
-        """Per-pixel loader sweep; returns ``(colors, caches, total)``
-        without committing any session state (a supervised rung must be
-        all-or-nothing)."""
-        spec = self.specialization
-        session = self.render_session
-        observe = self.obs.enabled
-        pixel_costs = [] if observe else None
-        colors = []
-        caches = []
-        total = 0
+# -- runners -----------------------------------------------------------------
+#
+# A runner serves one drag's frames on one backend.  It has a ``name``
+# (the ladder rung it is), an ``executor`` (the tiled executor, or None)
+# and three calls, none of which commits drag state:
+#
+# * ``load(controls, cap) -> (colors, caches, total)``
+# * ``adjust(controls, caches, cap) -> (colors, total)``
+# * ``refill(controls, caches, dirty) -> cost`` (delta loaders, in place)
+#
+# ``cap`` is the supervisor's per-pixel step deadline (None when
+# unsupervised); a run that blows it raises instead of returning.  A
+# runner holds its drag through a weak proxy: with no cycle between
+# them, dropping a drag frees its caches at once instead of at the
+# next cycle collection.
+
+
+class ScalarRunner(object):
+    """Per-pixel interpreter sweeps.  The per-pixel loader and reader
+    steps (guarded, dispatch table or plain) are picked once, here."""
+
+    name = "scalar"
+    executor = None
+
+    def __init__(self, edit):
+        self.edit = weakref.proxy(edit)
+        spec, table, guard = edit.specialization, edit.table, edit.guard
+        if guard is not None:
+            # The guard carries the supervisor's deadline itself.
+            self._begin = guard.begin_load
+            self._load_step = (
+                lambda interp, args, i: guard.run_loader(args, pixel=i)
+            )
+            self._read_step = (
+                lambda interp, cache, args, i:
+                guard.run_reader(cache, args, pixel=i)
+            )
+            return
+        source = table if table is not None else spec
+        loader, layout = source.loader, source.layout
+        select = table.select if table is not None else (
+            lambda cache: spec.reader
+        )
+
+        def load_step(interp, args, i):
+            cache = layout.new_instance()
+            result, cost = interp.run_metered(loader, args, cache=cache)
+            return result, cache, cost
+
+        self._begin = lambda: None
+        self._load_step = load_step
+        self._read_step = (
+            lambda interp, cache, args, i:
+            interp.run_metered(select(cache), args, cache=cache)
+        )
+
+    def takes(self, caches):
+        """Cache access is index-based, so this runner also serves a
+        frame whose caches live in a batch SoA cache (a supervised
+        batch drag degrading to it)."""
+        return True
+
+    def load(self, controls, cap):
+        edit = self.edit
+        session = edit.render_session
+        interp = edit.specialization._interp_for(cap)
+        step = self._load_step
+        self._begin()
+        colors, caches, costs = [], [], []
         for index, pixel in enumerate(session.scene):
-            args = session.args_for(pixel, controls)
-            if self.guard is not None:
-                result, cache, cost = self.guard.run_loader(args, pixel=index)
-            elif self.table is not None:
-                cache = self.table.layout.new_instance()
-                meter = CostMeter()
-                result = self._table_interp(cap).run(
-                    self.table.loader, args, cache=cache, meter=meter
-                )
-                cost = meter.total
-            else:
-                result, cache, cost = spec.run_loader(args, max_steps=cap)
+            result, cache, cost = step(
+                interp, session.args_for(pixel, controls), index
+            )
             colors.append(result)
             caches.append(cache)
-            total += cost
-            if observe:
-                pixel_costs.append(cost)
-        if observe:
-            self._observe_pixel_costs("load", pixel_costs)
+            costs.append(cost)
+        total = edit._frame_cost(costs, None, "load")
         return ColorColumn.from_rows(colors), caches, total
 
-    def _adjust_scalar(self, controls, cap=None):
-        """Per-pixel reader sweep; returns ``(colors, total)``.
-
-        Cache access is index-based so this rung also serves a frame
-        whose caches live in a batch :class:`~repro.runtime.batch
-        .SoACache` (the supervised ladder degrading batch → scalar)."""
-        spec = self.specialization
-        session = self.render_session
-        caches = self.caches
-        soa = isinstance(caches, B.SoACache)
-        observe = self.obs.enabled
-        pixel_costs = [] if observe else None
-        colors = []
-        total = 0
+    def adjust(self, controls, caches, cap):
+        edit = self.edit
+        session = edit.render_session
+        interp = edit.specialization._interp_for(cap)
+        step = self._read_step
+        row = _row_view(caches)
+        colors, costs = [], []
         for index, pixel in enumerate(session.scene):
-            cache = caches.row(index) if soa else caches[index]
-            args = session.args_for(pixel, controls)
-            if self.guard is not None:
-                result, cost = self.guard.run_reader(cache, args, pixel=index)
-            elif self.table is not None:
-                variant = self.table.select(cache)
-                result, cost = self._table_interp(cap).run_metered(
-                    variant, args, cache=cache
-                )
-            else:
-                result, cost = spec.run_reader(cache, args, max_steps=cap)
+            result, cost = step(
+                interp, row(index), session.args_for(pixel, controls), index
+            )
             colors.append(result)
-            total += cost
-            if observe:
-                pixel_costs.append(cost)
-        if observe:
-            self._observe_pixel_costs("adjust", pixel_costs)
-        return ColorColumn.from_rows(colors), total
-
-    def _table_interp(self, cap):
-        """The shared dispatch-table interpreter, or a tighter-budget
-        one when a supervisor deadline caps this rung."""
-        if cap is None:
-            return self._interp
-        budget = self.specialization.options.max_steps
-        if budget is not None:
-            cap = min(cap, budget)
-        return Interpreter(max_steps=cap)
-
-    # -- batch backend -------------------------------------------------------
-
-    def _load_batch(self, controls, cap=None):
-        """One loader-kernel invocation fills the whole frame's SoA
-        cache; returns ``(colors, cache, total)`` without committing."""
-        session = self.render_session
-        n = len(session.scene)
-        columns = session.batch_args(controls)
-        if self.guard is not None:
-            rows, cache, total = self.guard.run_loader_batch(columns, n)
-            return ColorColumn.from_rows(rows), cache, total
-        if self.table is not None:
-            cache = B.SoACache(self.table.layout, n)
-            if self._loader_kernel is None:
-                self._loader_kernel = B.BatchKernel(
-                    self.table.loader,
-                    max_steps=self.specialization.options.max_steps,
-                )
-            values, total = self._loader_kernel.run(columns, n, cache=cache)
-            return color_column(values, n, cache.columns), cache, total
-        if self._executor is not None:
-            return self._load_batch_tiled(columns, n, cap)
-        cache = self.specialization.new_batch_cache(n)
-        kernel = self.specialization.batch_kernel("loader", cap)
-        values, lane_costs = kernel.run_lanes(columns, n, cache=cache)
-        total = self._frame_cost(lane_costs, cap, "load")
-        return color_column(values, n, cache.columns), cache, total
-
-    def _adjust_batch(self, controls, cap=None):
-        """Whole-frame reader invocation; returns ``(colors, total)``."""
-        session = self.render_session
-        n = len(session.scene)
-        columns = session.batch_args(controls)
-        if self.guard is not None:
-            rows, total = self.guard.run_reader_batch(
-                self.caches, columns, n
-            )
-            return ColorColumn.from_rows(rows), total
-        if self.table is not None:
-            rows, total = B.run_dispatch(
-                self.table, self._variant_kernel, self.caches, columns, n
-            )
-            return ColorColumn.from_rows(rows), total
-        if self._executor is not None and isinstance(self.caches, B.SoACache):
-            return self._adjust_batch_tiled(columns, n, cap, controls)
-        kernel = self.specialization.batch_kernel("reader", cap)
-        values, lane_costs = kernel.run_lanes(
-            columns, n, cache=self.caches
+            costs.append(cost)
+        return ColorColumn.from_rows(colors), edit._frame_cost(
+            costs, None, "adjust"
         )
-        total = self._frame_cost(lane_costs, cap, "adjust")
-        return color_column(values, n, self.caches.columns), total
+
+    def refill(self, controls, caches, dirty):
+        edit = self.edit
+        spec = edit.specialization
+        session = edit.render_session
+        if isinstance(caches, B.SoACache):
+            caches.reset_columns(dirty)
+        else:
+            for cache in caches:
+                for k in dirty:
+                    cache[k] = None
+        row = _row_view(caches)
+        costs = [
+            spec.run_delta(session.args_for(pixel, controls), row(i), dirty)
+            for i, pixel in enumerate(session.scene)
+        ]
+        return edit._frame_cost(costs, None, "delta")
+
+
+class BatchRunner(object):
+    """Whole-frame kernel runs over one shared SoA cache.  The guarded,
+    dispatch-table, tiled or plain load and adjust are picked once,
+    here; a tiled drag owns its
+    :class:`~repro.runtime.parallel.TileExecutor` as :attr:`executor`."""
+
+    name = "batch"
+
+    def __init__(self, edit):
+        self.edit = weakref.proxy(edit)
+        plan = edit.plan
+        self.executor = (
+            P.TileExecutor(
+                workers=plan.workers, tile=plan.tile,
+                pool=edit.render_session.pool, injector=plan.pool_injector,
+            )
+            if plan.tiled else None
+        )
+        spec, table = edit.specialization, edit.table
+        if edit.guard is not None:
+            self.load, self.adjust = self._guarded_load, self._guarded_adjust
+        elif self.executor is not None:
+            self.load, self.adjust = self._tiled_load, self._tiled_adjust
+            self.refill = self._tiled_refill
+        elif table is not None:
+            max_steps = spec.options.max_steps
+            loader = B.BatchKernel(table.loader, max_steps=max_steps)
+            variants = [
+                B.BatchKernel(variant, max_steps=max_steps)
+                for variant in table.variants
+            ]
+            self._layout = table.layout
+            self._loader = lambda cap: loader
+            self._reader = lambda cap, cache, columns, n: B.run_dispatch(
+                table, variants.__getitem__, cache, columns, n
+            )
+        else:
+            self._layout = spec.layout
+            self._loader = functools.partial(spec.batch_kernel, "loader")
+            self._reader = (
+                lambda cap, cache, columns, n: spec.batch_kernel(
+                    "reader", cap
+                ).run_lanes(columns, n, cache=cache)
+            )
 
     @staticmethod
-    def _lane_deadline(lane_costs, cap, which):
-        """Enforce a per-pixel step deadline on the vectorized path.
+    def takes(caches):
+        """Only an SoA cache feeds the vectorized kernels; missing
+        caches are rebuilt by the runner's own loader."""
+        return caches is None or isinstance(caches, B.SoACache)
 
-        The vectorized kernel cannot abort mid-frame the way the scalar
-        interpreter does, so the budget is checked post hoc per lane;
-        the frame is discarded (never committed) when any lane blew it.
-        """
-        worst = B.cost_max(lane_costs)
-        if worst > cap:
-            raise DeadlineError(
-                "batch %s blew the per-pixel step deadline "
-                "(%d steps > budget %d)" % (which, worst, cap)
-            )
+    def _frame(self, controls):
+        session = self.edit.render_session
+        return session.batch_args(controls), len(session.scene)
 
-    def _variant_kernel(self, code):
-        kernel = self._variant_kernels.get(code)
-        if kernel is None:
-            kernel = B.BatchKernel(self.table.variants[code])
-            self._variant_kernels[code] = kernel
-        return kernel
+    # -- one whole-frame kernel call (plain reader or dispatch table) --------
 
-    # -- tiled batch execution (runtime/parallel.py) -------------------------
+    def load(self, controls, cap):
+        columns, n = self._frame(controls)
+        cache = B.SoACache(self._layout, n)
+        values, lane_costs = self._loader(cap).run_lanes(
+            columns, n, cache=cache
+        )
+        total = self.edit._frame_cost(lane_costs, cap, "load")
+        return color_column(values, n, cache.columns), cache, total
 
-    def _load_batch_tiled(self, columns, n, cap):
+    def adjust(self, controls, cache, cap):
+        columns, n = self._frame(controls)
+        values, lane_costs = self._reader(cap, cache, columns, n)
+        total = self.edit._frame_cost(lane_costs, cap, "adjust")
+        return color_column(values, n, cache.columns), total
+
+    def refill(self, controls, cache, dirty):
+        """Run the sliced delta kernel over the whole frame, splicing
+        the refreshed columns into the existing SoA cache in place.
+
+        The refill itself runs unguarded — a contained fault here could
+        leave a half-refilled column, so any exception aborts the whole
+        delta path and the caller falls back to a (guarded) full load.
+        The reader pass that serves the frame still routes through the
+        guard."""
+        columns, n = self._frame(controls)
+        kernel = self.edit.specialization.delta_kernel(dirty)
+        cache.reset_columns(dirty)
+        _, lane_costs = kernel.run_lanes(columns, n, cache=cache)
+        return self.edit._frame_cost(lane_costs, None, "delta")
+
+    # -- guarded -------------------------------------------------------------
+
+    def _guarded_load(self, controls, cap):
+        # The guard carries the supervisor's deadline itself.
+        columns, n = self._frame(controls)
+        guard = self.edit.guard
+        guard.begin_load()
+        rows, cache, total = guard.run_loader_batch(columns, n)
+        return ColorColumn.from_rows(rows), cache, total
+
+    def _guarded_adjust(self, controls, cache, cap):
+        columns, n = self._frame(controls)
+        rows, total = self.edit.guard.run_reader_batch(cache, columns, n)
+        return ColorColumn.from_rows(rows), total
+
+    # -- tiled (runtime/parallel.py) -----------------------------------------
+
+    def _tiled_load(self, controls, cap):
         """Loader sharded into tiles: tile-local SoA segments filled by
         the scheduler and spliced into one frame cache.  A capped load
         stays all-or-nothing (a blown tile raises ``DeadlineError`` and
         the rung fails): committing a frame cache with per-tile holes
         would poison every later adjust, so per-tile degradation is an
         adjust-phase behavior."""
-        spec = self.specialization
-        session = self.render_session
+        columns, n = self._frame(controls)
+        spec = self.edit.specialization
         # The executor picks the cache's backing store: shared-memory
         # columns when the fork pool will write tiles in place, an
         # ordinary SoACache otherwise.
         kernel = spec.batch_kernel("loader", cap)
-        cache = self._executor.new_frame_cache(kernel, spec.layout, n)
-        colors, lane_costs = self._executor.run(
-            kernel, columns, n, frame_cache=cache, layout=spec.layout,
-            width=session.scene.width, cap=cap, obs=self.obs,
-            shader=session.spec_info.name, partition=self.param,
-            phase="load",
-            on_pool_incident=self._pool_incident_hook("load"),
+        cache = self.executor.new_frame_cache(kernel, spec.layout, n)
+        colors, lane_costs = self._run_tiles(
+            "load", kernel, columns, n, cache, layout=spec.layout, cap=cap,
         )
-        return colors, cache, self._frame_cost(lane_costs, None, "load")
+        return colors, cache, self.edit._frame_cost(lane_costs, None, "load")
 
-    def _adjust_batch_tiled(self, columns, n, cap, controls):
+    def _tiled_adjust(self, controls, cache, cap):
         """Reader sharded into tiles over contiguous frame-cache views.
 
         Under a supervised deadline a blown tile degrades *alone*: the
@@ -779,31 +840,48 @@ class EditSession(object):
         breaker window) and that tile's pixels are served by the
         unspecialized original while the rest of the frame stays on the
         batch kernel."""
-        spec = self.specialization
-        session = self.render_session
-        kernel = spec.batch_kernel("reader", cap)
-        on_overrun = (
-            self._tile_overrun_handler(controls)
-            if cap is not None and self.supervisor is not None
-            else None
+        columns, n = self._frame(controls)
+        colors, lane_costs = self._run_tiles(
+            "adjust", self.edit.specialization.batch_kernel("reader", cap),
+            columns, n, cache, cap=cap,
+            on_overrun=(
+                self._tile_overrun_handler(controls)
+                if cap is not None and self.edit.supervisor is not None
+                else None
+            ),
         )
-        colors, lane_costs = self._executor.run(
-            kernel, columns, n, frame_cache=self.caches, cap=cap,
-            width=session.scene.width, on_overrun=on_overrun,
-            obs=self.obs, shader=session.spec_info.name,
-            partition=self.param, phase="adjust",
-            on_pool_incident=self._pool_incident_hook("adjust"),
+        return colors, self.edit._frame_cost(lane_costs, None, "adjust")
+
+    def _tiled_refill(self, controls, cache, dirty):
+        columns, n = self._frame(controls)
+        spec = self.edit.specialization
+        kernel = spec.delta_kernel(dirty)
+        cache.reset_columns(dirty)
+        _, lane_costs = self._run_tiles(
+            "delta", kernel, columns, n, cache, layout=spec.layout,
+            refill=True,
         )
-        return colors, self._frame_cost(lane_costs, None, "adjust")
+        return self.edit._frame_cost(lane_costs, None, "delta")
+
+    def _run_tiles(self, phase, kernel, columns, n, cache, **options):
+        edit = self.edit
+        session = edit.render_session
+        return self.executor.run(
+            kernel, columns, n, frame_cache=cache,
+            width=session.scene.width, obs=edit.obs,
+            shader=session.spec_info.name, partition=edit.param,
+            phase=phase, on_pool_incident=self._pool_incident_hook(phase),
+            **options
+        )
 
     def _pool_incident_hook(self, phase):
         """Routes the executor's self-healing events (worker losses,
         redispatches, respawns, quarantines) into the supervisor's
         incident ring; None when this drag is unsupervised."""
-        if self.supervisor is None:
+        supervisor = self.edit.supervisor
+        if supervisor is None:
             return None
-        supervisor = self.supervisor
-        key = self._key()
+        key = self.edit._key()
 
         def hook(cause, detail):
             supervisor.note_pool_incident(key, phase, cause, detail)
@@ -814,12 +892,13 @@ class EditSession(object):
         """Per-tile degradation: serve a deadline-blown tile with the
         original shader (uncapped beyond ``options.max_steps``) and
         route the miss through the supervisor's accounting."""
-        session = self.render_session
-        spec = self.specialization
+        edit = self.edit
+        session = edit.render_session
+        spec = edit.specialization
 
         def handler(tile_index, start, stop, worst):
-            self.supervisor.note_tile_degradation(
-                self._key(), "adjust", tile_index, start, stop, worst,
+            edit.supervisor.note_tile_degradation(
+                edit._key(), "adjust", tile_index, start, stop, worst,
             )
             colors = []
             costs = []
@@ -834,153 +913,12 @@ class EditSession(object):
 
         return handler
 
-    # -- supervised execution ------------------------------------------------
 
-    def _key(self):
-        return (self.render_session.spec_info.name, self.param)
-
-    def _original_frame(self, controls):
-        """The unspecialized shader over the whole frame — the ladder's
-        safety valve, deliberately uncapped (``options.max_steps`` still
-        bounds it)."""
-        session = self.render_session
-        spec = self.specialization
-        if self.backend == "batch":
-            n = len(session.scene)
-            values, total = spec.run_original_batch(
-                session.batch_args(controls), n
-            )
-            return color_column(values, n), total
-        colors = []
-        total = 0
-        for pixel in session.scene:
-            result, cost = spec.run_original(session.args_for(pixel, controls))
-            colors.append(result)
-            total += cost
-        return ColorColumn.from_rows(colors), total
-
-    def _supervised_load(self, controls):
-        supervisor = self.supervisor
-        session = self.render_session
-        state = {}
-
-        def batch_rung(cap):
-            if self.guard is not None:
-                self.guard.begin_load()
-            colors, cache, total = self._load_batch(controls, cap)
-            state["caches"] = cache
-            state["cost"] = total
-            return colors, total
-
-        def scalar_rung(cap):
-            if self.guard is not None:
-                self.guard.begin_load()
-            colors, caches, total = self._load_scalar(controls, cap)
-            state["caches"] = caches
-            state["cost"] = total
-            return colors, total
-
-        def original_rung(cap):
-            colors, total = self._original_frame(controls)
-            state["caches"] = None
-            state["cost"] = total
-            return colors, total
-
-        def lkg_rung(cap):
-            colors = supervisor.last_known_good(self._key(), "load")
-            if colors is None:
-                raise SupervisionError("no last-known-good load frame")
-            state["caches"] = None
-            state["cost"] = 0
-            return colors, 0
-
-        rungs = []
-        if self.backend == "batch":
-            rungs.append(Rung("batch", batch_rung))
-        rungs.append(Rung("scalar", scalar_rung))
-        rungs.append(Rung("original", original_rung))
-        rungs.append(Rung("lkg", lkg_rung))
-        colors, total, rung = supervisor.run_request(
-            self._key(), "load", rungs, len(session.scene),
-            fault_log=self.fault_log,
-        )
-        self.last_rung = rung
-        self._load_rung = rung
-        self._load_controls = dict(controls)
-        self.caches = state.get("caches")
-        self.load_cost = state.get("cost", total)
-        self._drop_caches_if_tripped()
-        return self._image(colors, total)
-
-    def _drop_caches_if_tripped(self):
-        """An open breaker invalidates this drag's caches: whatever
-        poisoned the window may live in them, so the half-open probe
-        must rebuild from scratch (via :meth:`_ensure_caches`) rather
-        than re-test known-suspect state."""
-        breaker = self.supervisor.breakers.get(self._key())
-        if breaker is not None and breaker.state != "closed":
-            self.caches = None
-
-    def _ensure_caches(self, kind, cap):
-        """Rebuild this drag's caches for a specialized adjust rung.
-
-        A load served while the circuit breaker was open (or degraded to
-        the original) leaves no caches; the first specialized adjust —
-        typically the breaker's half-open probe — re-runs the loader
-        with the retained load controls so the probe genuinely tests
-        the specialized path end to end."""
-        if self.caches is not None:
-            return
-        if self._load_controls is None:
-            raise SupervisionError("no load controls to rebuild caches from")
-        if self.guard is not None:
-            self.guard.begin_load()
-        if kind == "batch":
-            _, cache, _ = self._load_batch(self._load_controls, cap)
-        else:
-            _, cache, _ = self._load_scalar(self._load_controls, cap)
-        self.caches = cache
-
-    def _supervised_adjust(self, controls):
-        supervisor = self.supervisor
-        session = self.render_session
-
-        def lkg_rung(cap):
-            colors = supervisor.last_known_good(self._key(), "adjust")
-            if colors is None:
-                raise SupervisionError("no last-known-good adjust frame")
-            return colors, 0
-
-        def batch_rung(cap):
-            self._ensure_caches("batch", cap)
-            return self._adjust_batch(controls, cap)
-
-        def scalar_rung(cap):
-            self._ensure_caches("scalar", cap)
-            return self._adjust_scalar(controls, cap)
-
-        rungs = []
-        # A scalar-built cache array cannot feed the vectorized kernel,
-        # so the batch rung only appears when the caches are (or can be
-        # rebuilt as) an SoA cache; missing caches — a load served while
-        # the breaker was open — are rebuilt by the first specialized
-        # rung from the retained load controls.
-        if self.backend == "batch" and (
-            self.caches is None or isinstance(self.caches, B.SoACache)
-        ):
-            rungs.append(Rung("batch", batch_rung))
-        rungs.append(Rung("scalar", scalar_rung))
-        rungs.append(
-            Rung("original", lambda cap: self._original_frame(controls))
-        )
-        rungs.append(Rung("lkg", lkg_rung))
-        colors, total, rung = supervisor.run_request(
-            self._key(), "adjust", rungs, len(session.scene),
-            fault_log=self.fault_log,
-        )
-        self.last_rung = rung
-        self._drop_caches_if_tripped()
-        return self._image(colors, total)
+def _row_view(caches):
+    """Per-pixel cache access for a slot-list array or an SoA cache."""
+    if isinstance(caches, B.SoACache):
+        return caches.row
+    return caches.__getitem__
 
 
 class RenderSession(object):
@@ -1263,15 +1201,9 @@ class ShaderInstallation(object):
 
     def edit(self, param, injector=None, supervisor=None, incremental=None):
         """Start a drag using the pre-built specialization."""
-        if param not in self.specializations:
-            raise SpecializationError(
-                "%r is not a control parameter of shader %r"
-                % (param, self.spec_info.name)
-            )
-        return EditSession(
-            self.session, self.specializations[param], param,
-            self.session.plan.for_edit(injector=injector),
-            supervisor=supervisor, incremental=incremental,
+        return self.session.begin_edit(
+            param, injector=injector, supervisor=supervisor,
+            incremental=incremental,
         )
 
     def describe(self):

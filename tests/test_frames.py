@@ -220,7 +220,7 @@ def test_returned_frames_stay_unchanged(workers):
     try:
         assert edit.last_path == "delta"
         if workers == "fork:2" and B.HAVE_SHM:
-            assert edit._executor.last_stats.transport == "shm"
+            assert edit.runner.executor.last_stats.transport == "shm"
         for image, snapshot in frames:
             assert _frozen(image) == snapshot
             assert not np.asarray(image.colors).flags.writeable

@@ -115,7 +115,7 @@ def test_workers_parity_all_shaders(index):
         load_b, adj_b = _drag(tiled, edit, param)
         _assert_equal(load_a, load_b, "shader %d %s load" % (index, param))
         _assert_equal(adj_a, adj_b, "shader %d %s adjust" % (index, param))
-        stats = edit._executor.last_stats
+        stats = edit.runner.executor.last_stats
         assert stats.tiles == 3  # 48 lanes / 16-lane (two-row) tiles
 
 
@@ -245,19 +245,24 @@ def test_supervised_tile_degradation_serves_original():
     supervisor counts it and the frame matches the original frame."""
     from repro.runtime.supervise import SupervisorPolicy
 
-    policy = SupervisorPolicy(deadline_steps=10 ** 9)
+    # A generous deadline for the load, then one its adjust tiles blow;
+    # three requests before the breaker may trip keep it closed.
+    policy = SupervisorPolicy(deadline_steps=10 ** 9, breaker_min_requests=3)
     session = RenderSession(3, width=6, height=4, policy=policy,
                             backend="batch", workers=2, tile=6)
     param = "veinfreq"
     edit = session.begin_edit(param)
     edit.load(session.controls)
     controls = session.controls_with(veinfreq=3.0)
-    columns = session.batch_args(controls)
-    n = len(session.scene)
-    colors, total = edit._adjust_batch_tiled(columns, n, 5, controls)
-    stats = edit._executor.last_stats
+    policy.deadline_steps = 5
+    image = edit.frame(controls)
+    colors, total = image.colors, image.total_cost
+    stats = edit.runner.executor.last_stats
     assert stats.degraded_tiles == stats.tiles > 0
-    expect_colors, expect_total = edit._original_frame(controls)
+    original = session.render_reference(
+        controls, specialization=edit.specialization
+    )
+    expect_colors, expect_total = original.colors, original.total_cost
     assert colors == expect_colors
     assert total == expect_total
     health = session.supervisor.health()

@@ -149,7 +149,7 @@ def test_transport_parity_all_shaders(index):
             what = "shader %d %s %s" % (index, param, family)
             _assert_equal(load_a, load_b, what + " load")
             _assert_equal(adj_a, adj_b, what + " adjust")
-            stats = edit._executor.last_stats
+            stats = edit.runner.executor.last_stats
             if family == "fork" and B.HAVE_SHM:
                 assert stats.transport == "shm", what
             elif family == "serial":
@@ -200,7 +200,7 @@ def test_warm_worker_reuse_across_frames():
                             workers=2, tile=12)
     edit = session.begin_edit("veinfreq")
     edit.load(session.controls)
-    stats = edit._executor.last_stats
+    stats = edit.runner.executor.last_stats
     assert stats.pooled
     assert stats.warm_misses > 0
     assert stats.warm_hits == 0
@@ -210,7 +210,7 @@ def test_warm_worker_reuse_across_frames():
             veinfreq=session.controls["veinfreq"] * step
         )
         edit.adjust(dragged)
-        stats = edit._executor.last_stats
+        stats = edit.runner.executor.last_stats
         if step == 1.1:
             # First adjust installs the reader kernel.
             assert stats.warm_misses > 0
@@ -239,7 +239,7 @@ def test_diverged_cache_runs_serial():
     edit = session.begin_edit("veinfreq")
     loaded = edit.load(session.controls)
     _assert_equal(ref_load, loaded, "load")
-    assert edit._executor.last_stats.transport == "shm"
+    assert edit.runner.executor.last_stats.transport == "shm"
     cache = edit.caches
     assert isinstance(cache, B.ShmSoACache)
     rebound = None
@@ -255,7 +255,7 @@ def test_diverged_cache_runs_serial():
     )
     adjusted = edit.adjust(dragged)
     _assert_equal(ref_adj, adjusted, "adjust after divergence")
-    assert edit._executor.last_stats.transport == "serial"
+    assert edit.runner.executor.last_stats.transport == "serial"
 
 
 @requires_numpy
@@ -294,13 +294,13 @@ def _assert_serial_drag_matches_untiled(workers, param="veinfreq"):
     edit = session.begin_edit(param)
     try:
         loaded = edit.load(session.controls)
-        assert edit._executor.last_stats.transport == "serial"
-        assert edit._executor.last_stats.tiles > 1
+        assert edit.runner.executor.last_stats.transport == "serial"
+        assert edit.runner.executor.last_stats.tiles > 1
         dragged = session.controls_with(
             **{param: session.controls[param] * 1.3 + 0.05}
         )
         adjusted = edit.adjust(dragged)
-        assert edit._executor.last_stats.transport == "serial"
+        assert edit.runner.executor.last_stats.transport == "serial"
         _assert_equal(ref_load, loaded, "%s load" % workers)
         _assert_equal(ref_adj, adjusted, "%s adjust" % workers)
         assert not isinstance(edit.caches, B.ShmSoACache)
@@ -348,7 +348,7 @@ def test_serial_fallback_leaves_half_open_breaker_alone():
     breaker = session.pool.breaker
     try:
         edit.load(session.controls)
-        assert edit._executor.last_stats.transport == "shm"
+        assert edit.runner.executor.last_stats.transport == "shm"
         cache = edit.caches
         k = next(k for k, c in enumerate(cache.columns) if c is not None)
         cache.columns[k] = cache.columns[k].copy()
@@ -358,7 +358,7 @@ def test_serial_fallback_leaves_half_open_breaker_alone():
         edit.adjust(session.controls_with(
             veinfreq=session.controls["veinfreq"] * 1.3 + 0.05
         ))
-        stats = edit._executor.last_stats
+        stats = edit.runner.executor.last_stats
         assert stats.transport == "serial"
         assert not stats.breaker_open
         assert breaker.as_dict() == before
@@ -420,13 +420,13 @@ def _force_serial_load(cause, edit, monkeypatch):
     """Make the next tiled load of ``edit`` miss the pool: an open
     breaker, a quarantined loader kernel, or (``pipe``) one tile whose
     results come back over the pipe inside an otherwise pooled run."""
-    pool = edit._executor.pool
+    pool = edit.runner.executor.pool
     if cause == "breaker":
         pool.breaker.trip()
         pool.breaker.probe_at = 10 ** 9
     elif cause == "quarantine":
         loader = edit.specialization.batch_kernel("loader")
-        pool.quarantine[edit._executor._token_for(loader)] = "loader"
+        pool.quarantine[edit.runner.executor._token_for(loader)] = "loader"
     else:
         store = P._store_tile
 
@@ -462,7 +462,7 @@ def test_serial_loader_keeps_shm_cache_pooled(cause, monkeypatch):
     try:
         _force_serial_load(cause, edit, monkeypatch)
         loaded = edit.load(session.controls)
-        stats = edit._executor.last_stats
+        stats = edit.runner.executor.last_stats
         if cause == "breaker":
             assert stats.breaker_open and not stats.pooled
         elif cause == "quarantine":
@@ -476,7 +476,7 @@ def test_serial_loader_keeps_shm_cache_pooled(cause, monkeypatch):
         adjusted = edit.adjust(session.controls_with(
             **{param: session.controls[param] * 1.3 + 0.05}
         ))
-        assert edit._executor.last_stats.pooled
+        assert edit.runner.executor.last_stats.pooled
         _assert_equal(ref_load, loaded, "%s load" % cause)
         _assert_equal(ref_adj, adjusted, "%s adjust" % cause)
     finally:
@@ -496,19 +496,24 @@ def test_degraded_tiles_splice_over_shm():
     even when the healthy tiles were written into shared memory."""
     from repro.runtime.supervise import SupervisorPolicy
 
-    policy = SupervisorPolicy(deadline_steps=10 ** 9)
+    # A generous deadline for the load, then one its adjust tiles blow;
+    # three requests before the breaker may trip keep it closed.
+    policy = SupervisorPolicy(deadline_steps=10 ** 9, breaker_min_requests=3)
     session = RenderSession(3, width=6, height=4, policy=policy,
                             backend="batch", workers=2, tile=6)
     edit = session.begin_edit("veinfreq")
     edit.load(session.controls)
-    assert edit._executor.last_stats.pooled
+    assert edit.runner.executor.last_stats.pooled
     controls = session.controls_with(veinfreq=3.0)
-    columns = session.batch_args(controls)
-    n = len(session.scene)
-    colors, total = edit._adjust_batch_tiled(columns, n, 5, controls)
-    stats = edit._executor.last_stats
+    policy.deadline_steps = 5
+    image = edit.frame(controls)
+    colors, total = image.colors, image.total_cost
+    stats = edit.runner.executor.last_stats
     assert stats.degraded_tiles == stats.tiles > 0
-    expect_colors, expect_total = edit._original_frame(controls)
+    original = session.render_reference(
+        controls, specialization=edit.specialization
+    )
+    expect_colors, expect_total = original.colors, original.total_cost
     assert colors == expect_colors
     assert total == expect_total
 
@@ -527,7 +532,7 @@ def test_no_segment_leaks_after_sessions_and_shutdown():
         param = _params_of(5)[0]
         edit = session.begin_edit(param)
         _drag(session, edit, param)
-        assert edit._executor.last_stats.pooled
+        assert edit.runner.executor.last_stats.pooled
         session.close()
     gc.collect()
     assert B.shm_resident_bytes() == 0
@@ -549,7 +554,7 @@ def test_session_close_stops_its_pool():
     edit = session.begin_edit(param)
     assert session.pool.health()["workers"]["alive"] == 0
     _drag(session, edit, param)
-    assert edit._executor.last_stats.pooled
+    assert edit.runner.executor.last_stats.pooled
     procs = list(session.pool._procs)
     assert len(procs) == 2 and all(proc.is_alive() for proc in procs)
     session.close()

@@ -146,7 +146,7 @@ def test_untileable_drag_builds_no_executor(index, param, knobs, dispatch):
                            workers=2, tile=16, **knobs)
     base_edit = base.begin_edit(param, dispatch=dispatch)
     edit = pooled.begin_edit(param, dispatch=dispatch)
-    assert edit._executor is None
+    assert edit.runner.executor is None
     assert not edit.plan.tiled and edit.plan.workers == 1
     assert (edit.table is not None) is dispatch
     other = [p for p in base.spec_info.control_params if p != param][0]
@@ -239,7 +239,7 @@ def test_session_plan_reads_its_frame_size():
         assert _pool_fields(session.plan) == UNTILED
         assert session.pool is None
         edit = session.begin_edit("veinfreq")
-        assert edit._executor is None
+        assert edit.runner.executor is None
         assert _pool_fields(edit.plan) == UNTILED
     finally:
         session.close()

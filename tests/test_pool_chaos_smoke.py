@@ -49,8 +49,8 @@ def _assert_identical(expect, got, what):
 
 
 def _reconverged(edit):
-    stats = edit._executor.last_stats
-    health = edit._executor.pool.health()
+    stats = edit.runner.executor.last_stats
+    health = edit.runner.executor.pool.health()
     return (
         stats.pooled
         and stats.warm_hits == stats.workers
@@ -102,7 +102,7 @@ def test_pool_reconverges_after_chaos():
             faulted += len(injector.injected) > planted
 
         # Chaos off: the pool must return to all-warm.
-        edit._executor.injector = None
+        edit.runner.executor.injector = None
         clean = values[-1] * 1.05
         expect = serial_edit.adjust(serial.controls_with(**{param: clean}))
         for attempt in range(1, RECONVERGE_BUDGET + 1):

@@ -287,17 +287,17 @@ def test_pool_reconverges_warm_after_respawn():
     session = _chaos_session(3, policy)
     edit = session.begin_edit(param, injector=injector)
     edit.load(session.controls)
-    assert edit._executor.last_stats.respawns == 2
-    edit._executor.injector = None  # chaos off; watch reconvergence
+    assert edit.runner.executor.last_stats.respawns == 2
+    edit.runner.executor.injector = None  # chaos off; watch reconvergence
     dragged = session.controls_with(
         **{param: session.controls[param] * 1.3 + 0.05}
     )
     first = edit.adjust(dragged)
-    stats = edit._executor.last_stats
+    stats = edit.runner.executor.last_stats
     assert stats.pooled
     assert stats.warm_misses > 0  # cold memos reinstall the reader
     second = edit.adjust(dragged)
-    stats = edit._executor.last_stats
+    stats = edit.runner.executor.last_stats
     assert stats.warm_hits == stats.workers
     assert stats.warm_misses == 0
     sdragged = serial.controls_with(
@@ -345,7 +345,7 @@ def test_repeat_killer_kernel_is_quarantined():
     # The same loader again: routed to serial before any dispatch.
     load_c = edit.load(session.controls)
     _assert_equal(load_a, load_c, "quarantined load")
-    stats = edit._executor.last_stats
+    stats = edit.runner.executor.last_stats
     assert stats.quarantined
     assert stats.transport == "serial"
     assert session.pool.health()["quarantine_routed"] >= 1
@@ -378,13 +378,13 @@ def test_restart_budget_exhaustion_trips_breaker():
     assert any(i["kind"] == "pool_degraded" for i in health["incidents"])
     assert health["workers"]["alive"] == 0
     # While open: fork is refused, frames stay byte-identical.
-    edit._executor.injector = None
+    edit.runner.executor.injector = None
     dragged = session.controls_with(
         **{param: session.controls[param] * 1.3 + 0.05}
     )
     adj_b = edit.adjust(dragged)
     _assert_equal(adj_a, adj_b, "adjust while breaker open")
-    stats = edit._executor.last_stats
+    stats = edit.runner.executor.last_stats
     assert stats.breaker_open
     assert stats.transport == "serial"
     # Healthy runs advance breaker time; the half-open probe forks a
@@ -553,7 +553,7 @@ def test_two_pools_share_no_state():
     ).load(hit.controls)
     calm_edit = calm.begin_edit(param)
     calm_edit.load(calm.controls)
-    assert calm_edit._executor.last_stats.pooled
+    assert calm_edit.runner.executor.last_stats.pooled
     health = hit.pool.health()
     assert health["quarantined"] and health["breaker"]["state"] == "open"
     other = calm.pool.health()
