@@ -138,7 +138,7 @@ def orbit_script(rng, controls, params, frames):
 def animate(shader_index=DEFAULT_SHADER, param=DEFAULT_PARAM,
             sweeps=DEFAULT_SWEEPS, orbit=DEFAULT_ORBIT, seed=0,
             width=24, height=24, frames_per_segment=4, backend=None,
-            workers=None, tile=None):
+            tile=None):
     """Run one seeded animation through the incremental and full edit
     paths; returns an :class:`AnimationTrace`.
 
@@ -149,7 +149,7 @@ def animate(shader_index=DEFAULT_SHADER, param=DEFAULT_PARAM,
     def make(incremental):
         session = RenderSession(
             shader_index, width=width, height=height, backend=backend,
-            workers=workers, tile=tile, incremental=incremental,
+            tile=tile, incremental=incremental,
         )
         return session, session.begin_edit(param)
 

@@ -116,7 +116,7 @@ def simulate_session(shader_index, script=None, width=6, height=6,
                      installation=None, **session_options):
     """Replay an editing session; returns a :class:`SessionTrace`.
 
-    ``session_options`` (``backend``, ``workers``, ``tile``, ...) go to
+    ``session_options`` (``backend``, ``tile``, ...) go to
     the underlying :class:`ShaderInstallation` (default
     ``backend="auto"``: the batch kernels when NumPy is available, so
     the bench measures the same execution path interactive sessions

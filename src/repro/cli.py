@@ -40,7 +40,7 @@ from .lang.parser import parse_program
 from .lang.pretty import format_function
 from .runtime import native
 from .runtime.interp import Interpreter
-from .runtime.parallel import POOL_MIN_PIXELS, resolve_tile, resolve_workers
+from .runtime.plan import resolve_tile
 
 
 def _parse_scalar(text):
@@ -53,21 +53,41 @@ def _parse_scalar(text):
         raise SystemExit("cannot parse %r as a scalar value" % text)
 
 
-def _pool_knob(resolve):
-    """An argparse ``type=`` for ``--workers``/``--tile``: the knob is
-    resolved once at parse time, so a bad spelling exits 2 with the
-    resolver's message (which names the accepted spellings)."""
-    def parse(text):
-        try:
-            return resolve(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-
-    return parse
+def _tile_arg(text):
+    """The argparse ``type=`` for ``--tile``: resolved once at parse
+    time, so a bad lane count exits 2 with the resolver's message."""
+    try:
+        return resolve_tile(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-_WORKERS_ARG = _pool_knob(resolve_workers)
-_TILE_ARG = _pool_knob(resolve_tile)
+def _workers_arg(text):
+    """The argparse ``type=`` for ``repro serve --workers``, which is
+    accepted and ignored.  The old spellings (a count, ``auto``,
+    ``fork`` or ``fork:N``) still parse so existing command lines
+    start; anything else exits 2 naming them."""
+    spec = text.strip().lower()
+    if spec in ("auto", "fork"):
+        return text
+    floor = 0
+    if spec.startswith("fork:"):
+        spec, floor = spec[len("fork:"):], 1
+    try:
+        if int(spec) >= floor:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        "bad workers spec %r (expected a count, 'auto', or 'fork[:N]')"
+        % (text,)
+    )
+
+
+#: ``--tile`` help, shared by every session-driving subcommand.
+_TILE_HELP = ("lanes per deadline tile: a supervised batch adjust that "
+              "blows its step deadline degrades only the tiles (rounded "
+              "to whole scan lines) whose pixels blew it")
 
 
 def _parse_bindings(text):
@@ -225,52 +245,25 @@ def _supervision_policy(args):
     return SupervisorPolicy(**kwargs)
 
 
-def _pool_policy_from_args(args):
-    """A PoolPolicy when any self-healing pool flag was given, else None
-    (the executor's defaults apply)."""
-    deadline = getattr(args, "pool_deadline_ms", None)
-    if deadline is None:
-        return None
-    from .runtime.parallel import PoolPolicy
-
-    try:
-        return PoolPolicy(deadline_ms=deadline)
-    except ValueError as exc:
-        raise SystemExit("bad --pool-deadline-ms: %s" % exc)
-
-
 def _session_options(args, **extra):
     """The ``RenderSession`` execution keywords every session-driving
     subcommand builds from its flags, plus the subcommand's ``extra``
     ones, so ``trace``, ``stats`` and ``serve`` run the path ``render``
-    runs.  Without ``--tile`` the plan decides: ``--workers`` above one
-    tiles only frames larger than ``POOL_MIN_PIXELS``."""
-    options = {
-        "backend": args.backend,
-        "workers": args.workers,
-        "tile": args.tile,
-        "pool_policy": _pool_policy_from_args(args),
-    }
+    runs."""
+    options = {"backend": args.backend, "tile": args.tile}
     options.update(extra)
     return options
 
 
 def _chaos_injector(args):
-    """A FaultInjector from the render/health injection flags, or None.
-
-    Kernel faults imply guarded execution; process faults attach to the
-    tiled executor's self-healing recovery instead (see
-    ``EditSession``'s injector split)."""
+    """A FaultInjector from the render injection flags (kernel faults,
+    which imply guarded execution), or None."""
     kernel_rate = getattr(args, "inject_rate", 0.0) or 0.0
-    proc_rate = getattr(args, "inject_proc_rate", 0.0) or 0.0
-    if kernel_rate <= 0.0 and proc_rate <= 0.0:
+    if kernel_rate <= 0.0:
         return None
     from .runtime.faultinject import FaultInjector
 
-    return FaultInjector(
-        seed=args.inject_seed, kernel_rate=kernel_rate,
-        proc_rate=proc_rate,
-    )
+    return FaultInjector(seed=args.inject_seed, kernel_rate=kernel_rate)
 
 
 def _fault_summary(fault_log):
@@ -385,11 +378,9 @@ def cmd_render(args, out):
         out.write("\n")
     else:
         out.write(
-            "shader %d (%s): %dx%d via %s backend "
-            "(workers %d, transport %s), drag %r\n"
+            "shader %d (%s): %dx%d via %s backend (tile %s), drag %r\n"
             % (args.shader, session.spec_info.name, session.scene.width,
-               session.scene.height, edit.backend, edit.plan.workers,
-               edit.plan.transport, param)
+               session.scene.height, edit.backend, edit.plan.tile, param)
         )
         out.write(
             "load:   cost %d (%.1f/pixel), cache %dB/pixel\n"
@@ -475,10 +466,9 @@ def _render_service_health(payload, out, as_json):
     if recovery:
         recovered = recovery.get("store") or {}
         out.write(
-            "recovery: %d shm segments reclaimed; store %d verified, "
+            "recovery: store %d verified, "
             "%d respecialized, %d dropped, %d stale locks\n"
             % (
-                recovery.get("shm_segments", 0),
                 recovered.get("verified", 0),
                 recovered.get("respecialized", 0),
                 recovered.get("dropped", 0),
@@ -520,18 +510,13 @@ def cmd_health(args, out):
             "no shader %d (have %s)"
             % (args.shader, ", ".join(str(i) for i in sorted(SHADERS)))
         )
-    # Guarded requests run whole-frame, never tiled — so a pool-chaos
-    # drive (process faults only, no cache corruption) runs unguarded;
-    # the pool's own detection/recovery is the containment under test.
-    proc_only = args.inject_proc_rate > 0.0 and args.corrupt_rate <= 0.0
+    # A guarded drag never tiles, so ``health`` takes no ``--tile``.
     session = RenderSession(
         args.shader, width=args.size, height=args.size,
-        **_session_options(
-            args, guard=not proc_only, policy=_supervision_policy(args),
-        )
+        backend=args.backend, guard=True, policy=_supervision_policy(args),
     )
     param = args.param or session.spec_info.control_params[0]
-    edit = session.begin_edit(param, injector=_chaos_injector(args))
+    edit = session.begin_edit(param)
     edit.frame(session.controls)
     # Corrupt caches over the first half of the drag, then stop — the
     # report shows the breaker tripping and the probe recovery.
@@ -584,8 +569,6 @@ def cmd_serve(args, out):
         max_pixels=args.max_pixels,
         policy=_supervision_policy(args),
         recover=not args.no_recover,
-        proc_chaos_rate=args.inject_proc_rate,
-        proc_chaos_seed=args.inject_seed,
         **_session_options(args)
     )
     service = RenderService(config)
@@ -919,18 +902,8 @@ def build_parser():
                    choices=["scalar", "batch", "auto"],
                    help="execution backend (default: auto — batch "
                         "kernels when NumPy is available)")
-    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
-                   help="tiled-scheduler workers for the batch backend: "
-                        "a count, 'auto' (one per usable core), or "
-                        "'fork[:N]'; more than one runs tiles on the "
-                        "zero-copy fork/shm pool when available, else "
-                        "serially in-process, for frames above %d "
-                        "pixels or with --tile (default: 1)"
-                        % POOL_MIN_PIXELS)
-    p.add_argument("--tile", type=_TILE_ARG, default=None,
-                   help="lanes per scheduler tile; tiles the frame at any "
-                        "size (default: 2048 when the frame tiles, "
-                        "rounded to whole scan lines)")
+    p.add_argument("--tile", type=_tile_arg, default=None,
+                   help=_TILE_HELP)
     p.add_argument("--incremental", action="store_true",
                    help="edit-path deltas: after the first full load, an "
                         "invariant-parameter edit refills only the cache "
@@ -944,17 +917,8 @@ def build_parser():
     p.add_argument("--inject-rate", type=float, default=0.0,
                    help="forced kernel-fault rate per pixel (implies "
                         "--guard; for fault-tolerance demos)")
-    p.add_argument("--inject-proc-rate", type=float, default=0.0,
-                   help="process-level fault rate per dispatched chunk "
-                        "(seeded worker kill/hang/slow/garbled; "
-                        "exercises the pool's self-healing recovery — "
-                        "frames stay byte-identical)")
     p.add_argument("--inject-seed", type=int, default=0,
                    help="fault-injection seed")
-    p.add_argument("--pool-deadline-ms", type=float, default=None,
-                   help="wall-clock deadline per worker chunk before "
-                        "the pool declares the worker hung and "
-                        "re-dispatches its tiles (default: 30000)")
     p.add_argument("--supervise", action="store_true",
                    help="route rendering through the resilient "
                         "supervisor (degradation ladder + breakers)")
@@ -999,19 +963,6 @@ def build_parser():
                         "and probe recovery)")
     p.add_argument("--inject-seed", type=int, default=0,
                    help="corruption seed")
-    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
-                   help="tiled-scheduler workers (a count, 'auto', or "
-                        "'fork[:N]'); with a pool the report gains the "
-                        "self-healing pool section")
-    p.add_argument("--tile", type=_TILE_ARG, default=None,
-                   help="lanes per scheduler tile")
-    p.add_argument("--inject-proc-rate", type=float, default=0.0,
-                   help="process-level fault rate per dispatched chunk "
-                        "(seeded worker kill/hang/slow/garbled; "
-                        "demonstrates pool self-healing)")
-    p.add_argument("--pool-deadline-ms", type=float, default=None,
-                   help="wall-clock deadline per worker chunk before "
-                        "the pool declares the worker hung")
     p.add_argument("--deadline-steps", type=int, default=None)
     p.add_argument("--breaker-threshold", type=float, default=None)
     p.add_argument("--json", action="store_true",
@@ -1055,13 +1006,14 @@ def build_parser():
                    help="per-session frame-size ceiling (width*height)")
     p.add_argument("--backend", default=None,
                    choices=["scalar", "batch", "auto"])
-    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
-                   help="tiled-scheduler workers per session (a count, "
-                        "'auto', or 'fork[:N]')")
-    p.add_argument("--tile", type=_TILE_ARG, default=None,
-                   help="lanes per scheduler tile")
-    p.add_argument("--pool-deadline-ms", type=float, default=None,
-                   help="hung-worker deadline for the self-healing pool")
+    p.add_argument("--workers", type=_workers_arg, default=None,
+                   help="accepted and ignored: the fork worker pool was "
+                        "removed, because no served frame size ran "
+                        "faster on it; every frame is one in-process "
+                        "kernel call.  Still takes a count, 'auto' or "
+                        "'fork[:N]' so existing command lines start")
+    p.add_argument("--tile", type=_tile_arg, default=None,
+                   help=_TILE_HELP)
     p.add_argument("--deadline-steps", type=int, default=None,
                    help="per-request step budget for every tenant's "
                         "supervisor")
@@ -1069,14 +1021,8 @@ def build_parser():
                    help="breaker bad-request threshold for every "
                         "tenant's supervisor")
     p.add_argument("--no-recover", action="store_true",
-                   help="skip startup crash recovery (orphaned shm "
-                        "reclamation + artifact-store sweep)")
-    p.add_argument("--inject-proc-rate", type=float, default=0.0,
-                   help="process-level chaos rate per session (seeded "
-                        "worker kill/hang/garbled; chaos acceptance)")
-    p.add_argument("--inject-seed", type=int, default=0,
-                   help="chaos seed base (per-session seeds derive "
-                        "from it)")
+                   help="skip startup crash recovery (the "
+                        "artifact-store sweep)")
     p.set_defaults(handler=cmd_serve)
 
     p = sub.add_parser(
@@ -1092,12 +1038,8 @@ def build_parser():
                    choices=["scalar", "batch", "auto"])
     p.add_argument("--adjusts", type=int, default=4,
                    help="number of adjust requests to trace")
-    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
-                   help="tiled-scheduler workers (a count, 'auto', or "
-                        "'fork[:N]'); render.tile spans then carry the "
-                        "transport attribute")
-    p.add_argument("--tile", type=_TILE_ARG, default=None,
-                   help="lanes per scheduler tile")
+    p.add_argument("--tile", type=_tile_arg, default=None,
+                   help=_TILE_HELP)
     p.add_argument("--out", default=None,
                    help="write the Chrome trace-event file here")
     p.add_argument("--flight", action="store_true",
@@ -1148,12 +1090,8 @@ def build_parser():
                    help="also run a load+adjust drag per partition so "
                         "runtime counters (frames, fills, hits, "
                         "per-pixel cost histograms) populate too")
-    p.add_argument("--workers", type=_WORKERS_ARG, default=None,
-                   help="tiled-scheduler workers for --render drags "
-                        "(a count, 'auto', or 'fork[:N]'); populates "
-                        "the shm/warm-worker gauges")
-    p.add_argument("--tile", type=_TILE_ARG, default=None,
-                   help="lanes per scheduler tile for --render drags")
+    p.add_argument("--tile", type=_tile_arg, default=None,
+                   help=_TILE_HELP + " (--render drags)")
     p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser(

@@ -24,9 +24,8 @@ class Type(object):
         return self.name
 
     def __reduce__(self):
-        # Pickling must preserve interning: annotated ASTs cross process
-        # boundaries (the tiled frame scheduler's worker pool), and every
-        # consumer compares types with ``is``.
+        # Pickling and copying must preserve interning: every consumer
+        # compares types with ``is``.
         return (_interned, (self.name,))
 
 

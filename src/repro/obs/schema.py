@@ -23,14 +23,9 @@ BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
 #: Request phases.
 PHASES = ("load", "adjust")
 
-#: Process-level worker-loss kinds the self-healing pool reports
-#: (``WorkerPool.health()["lost_workers"]``, ``worker_<kind>`` incidents).
-POOL_FAULT_KINDS = ("crash", "hang", "garbled", "pipe")
-
 #: Non-ladder incident scopes ``canonical_rung`` accepts alongside the
-#: ladder rungs: breaker transitions, ladder exhaustion, and
-#: self-healing worker-pool events.
-INCIDENT_SCOPES = ("breaker", "ladder", "pool")
+#: ladder rungs: breaker transitions and ladder exhaustion.
+INCIDENT_SCOPES = ("breaker", "ladder")
 
 
 def canonical_rung(name):

@@ -156,10 +156,6 @@ class Tracer(object):
 
     def __init__(self, clock=None):
         self._clock = clock if clock is not None else time.perf_counter
-        #: True when ``_clock`` is the real monotonic clock — worker
-        #: processes may then record span times against ``epoch``
-        #: directly (fork shares CLOCK_MONOTONIC with the parent).
-        self.shared_clock = clock is None or clock is time.perf_counter
         self.epoch = self._clock()
         #: Finished spans, in completion order.
         self.spans = []
@@ -215,70 +211,6 @@ class Tracer(object):
             span.attrs.setdefault("error", str(exc))
         with self._lock:
             self.spans.append(span)
-
-    # -- merging externally-recorded spans -----------------------------------
-
-    def ingest(self, buffer, parent=None):
-        """Merge a worker-recorded span buffer under ``parent``.
-
-        ``buffer`` is the picklable shape
-        :class:`repro.runtime.parallel` workers ship back over the
-        result pipe::
-
-            {"pid": <os pid>,
-             "spans": [(name, lid, parent_lid, depth,
-                        start, end, attrs), ...]}
-
-        with ``lid``/``parent_lid`` local to the buffer (``parent_lid``
-        None marks a buffer root) and ``start``/``end`` seconds relative
-        to this tracer's epoch (fork children share the parent's
-        monotonic clock, so workers subtract the shipped epoch
-        directly).  Each record gets a fresh globally-consistent sid;
-        buffer roots are re-parented under ``parent`` (a finished or
-        open :class:`Span`, or None) and depths shift below it.  The
-        parent's ``trace`` id, if any, propagates to every ingested
-        span.  Returns the ingested spans in buffer order.
-        """
-        if not buffer:
-            return []
-        records = buffer.get("spans") or ()
-        if not records:
-            return []
-        pid = buffer.get("pid")
-        tid = buffer.get("tid") or pid
-        parent_sid = parent.sid if parent is not None else None
-        base_depth = parent.depth + 1 if parent is not None else 0
-        trace = parent.attrs.get("trace") if parent is not None else None
-        if trace is None:
-            trace = getattr(_REQUEST, "rid", None)
-        ingested = []
-        with self._lock:
-            sids = {}
-            for record in records:
-                name, lid, local_parent, depth, start, end, attrs = record
-                sid = self._next_sid
-                self._next_sid += 1
-                sids[lid] = sid
-                attrs = dict(attrs)
-                if trace is not None:
-                    attrs.setdefault("trace", trace)
-                span = Span(
-                    self,
-                    name,
-                    sid,
-                    sids.get(local_parent, parent_sid),
-                    base_depth + depth,
-                    start,
-                    attrs,
-                    pid=pid,
-                    tid=tid,
-                )
-                # A record left open (the worker died mid-span) still
-                # merges, as a zero-length point at its start time.
-                span.end = end if end is not None else start
-                self.spans.append(span)
-                ingested.append(span)
-        return ingested
 
     # -- inspection ----------------------------------------------------------
 
@@ -348,9 +280,6 @@ class NullTracer(object):
 
     def span(self, name, **attrs):
         return _NULL_SPAN
-
-    def ingest(self, buffer, parent=None):
-        return []
 
     def roots(self):
         return []

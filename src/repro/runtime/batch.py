@@ -26,23 +26,11 @@ fallback; they are linearized with masked ``where``-style selects.
 
 from __future__ import annotations
 
-import itertools
-import os
-import weakref
-
 from ..lang.errors import CacheFault, EvalError
-from ..lang.types import INT, MAT3, VEC3
+from ..lang.types import INT
 from .compiler import compile_batch_function
 from .interp import CostMeter, Interpreter, slot_detail
 from .vecops import HAVE_NUMPY, BatchCompileError, _column_rows, _np
-
-try:  # POSIX shared memory (the zero-copy tile transport's backing store)
-    from multiprocessing import shared_memory as _shared_memory
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover - platforms without _posixshmem
-    _shared_memory = None
-    HAVE_SHM = False
 
 #: Accepted values for the ``backend=`` knob.
 BACKENDS = ("scalar", "batch", "auto")
@@ -241,81 +229,6 @@ class SoACache(object):
                 sub.columns[k] = [column[i] for i in idx]
         return sub
 
-    # -- tiled access (runtime/parallel.py) ----------------------------------
-
-    def tile(self, start, stop):
-        """A sub-cache over lanes ``[start, stop)``.
-
-        Array columns are NumPy **views** (contiguous, zero-copy — this
-        is what the tile scheduler hands each reader tile); list columns
-        slice.  Intended for reading: a full-width store through the
-        view would rebind the view's column, not write through.
-        """
-        sub = SoACache(self.layout, stop - start)
-        for k, column in enumerate(self.columns):
-            if column is None:
-                continue
-            sub.columns[k] = column[start:stop]
-            mask = self.filled[k]
-            if HAVE_NUMPY and isinstance(column, _np.ndarray):
-                sub.filled[k] = (
-                    mask if mask is None or mask is True else mask[start:stop]
-                )
-        return sub
-
-    def splice(self, start, stop, tile):
-        """Install a tile-local cache (lanes ``[start, stop)`` of this
-        frame, produced by a loader tile) into the frame cache.
-
-        Array tile columns land in preallocated frame arrays with
-        per-lane filled masks merged (normalized back to ``True`` once
-        every lane is covered); list tile columns (the pure-Python
-        fallback) keep the list representation with ``None`` holes.
-        """
-        for k, column in enumerate(tile.columns):
-            if column is not None:
-                self._splice_column(k, start, stop, tile, column)
-        return self
-
-    def _splice_column(self, k, start, stop, tile, column):
-        if HAVE_NUMPY and isinstance(column, _np.ndarray):
-            frame = self.columns[k]
-            if isinstance(frame, list):
-                frame[start:stop] = tile.demote_column(k)
-                return
-            if frame is None:
-                frame = _np.zeros(
-                    (self.n,) + column.shape[1:], dtype=column.dtype
-                )
-                self.columns[k] = frame
-                self.filled[k] = _np.zeros(self.n, dtype=bool)
-            frame[start:stop] = column
-            mask = self.filled[k]
-            if mask is True:
-                mask = _np.ones(self.n, dtype=bool)
-            elif mask is None:
-                mask = _np.zeros(self.n, dtype=bool)
-            self._merge_tile_mask(k, mask, start, stop, tile)
-        else:
-            frame = self.columns[k]
-            if frame is None:
-                frame = [None] * self.n
-                self.columns[k] = frame
-                self.filled[k] = None
-            elif HAVE_NUMPY and isinstance(frame, _np.ndarray):
-                frame = self.demote_column(k)
-            frame[start:stop] = column
-
-    def _merge_tile_mask(self, k, mask, start, stop, tile):
-        """Mark the tile's filled lanes in the frame-wide ``mask`` and
-        install it (normalized to ``True`` once every lane is filled)."""
-        tile_mask = tile.filled[k]
-        if tile_mask is None or tile_mask is True:
-            mask[start:stop] = True
-        else:
-            mask[start:stop] = tile_mask
-        self.filled[k] = True if mask.all() else mask
-
     # -- container protocol --------------------------------------------------
     #
     # The scalar backend's "caches" are a list of per-pixel slot lists;
@@ -478,19 +391,6 @@ def cost_max(lane_costs):
     return int(lane_costs.max())
 
 
-def join_costs(parts):
-    """Per-tile lane costs concatenated in frame order: one int64 array,
-    or a list on the pure-Python path."""
-    if HAVE_NUMPY:
-        return _np.concatenate(
-            [_np.asarray(part, dtype=_np.int64) for part in parts]
-        )
-    joined = []
-    for part in parts:
-        joined.extend(part)
-    return joined
-
-
 def broadcast_cache(layout, row_cache, n):
     """A :class:`SoACache` whose every lane repeats one scalar cache's
     slot values.
@@ -559,307 +459,3 @@ def _gather(column, idx):
     if isinstance(column, list):
         return [column[i] for i in idx]
     return column  # uniform scalar (a control parameter)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory arenas (zero-copy tile transport, runtime/parallel.py)
-# ---------------------------------------------------------------------------
-
-#: Segment name sequence — names embed the creating PID so tests can
-#: match ``/dev/shm/repro_shm_*`` against live interpreter processes.
-_ARENA_SEQ = itertools.count(1)
-
-#: Live arenas (weak — each arena owns its own finalizer); used for the
-#: ``repro_shm_bytes_resident`` gauge and the atexit sweep.
-_ARENAS = weakref.WeakSet()
-
-#: Alignment for column offsets inside a segment.
-_ARENA_ALIGN = 64
-
-
-def _release_segment(segment, owner, pid):
-    """Detach (and, for the creating process, unlink) one segment.
-
-    Runs from :meth:`ShmArena.release`, the arena's GC finalizer, or the
-    atexit sweep.  The PID guard matters under ``fork``: pool workers
-    inherit the parent's arena objects, and their exit must not unlink
-    segments the parent still serves frames from.
-    """
-    try:
-        segment.close()
-    except BufferError:
-        # Column views are still exported (e.g. a frame cache the caller
-        # kept).  The mapping lives until process exit; unlinking below
-        # still removes the name, which is the part hygiene cares about.
-        pass
-    if owner and os.getpid() == pid:
-        try:
-            segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already swept
-            pass
-
-
-class ShmArena(object):
-    """One shared-memory segment carved into named NumPy columns.
-
-    The parent process creates an arena from ``(key, dtype, shape)``
-    specs; pool workers :meth:`attach` to the picklable
-    :meth:`descriptor` and see the *same* physical pages, so a worker
-    storing a tile's rows writes directly into the parent's frame —
-    nothing but the descriptor ever crosses the pipe.
-
-    Lifecycle: the creator owns the segment name and unlinks it on
-    :meth:`release` (idempotent; also wired to a GC finalizer and the
-    :func:`~repro.runtime.lifecycle.cleanup_now` sweep, so no segment
-    outlives the process).  Attached (worker-side) arenas only ever close their
-    mapping.
-    """
-
-    def __init__(self, segment, placed, size, owner):
-        self._segment = segment
-        #: ``key -> (offset, dtype_str, shape)`` — the picklable layout.
-        self._placed = {
-            key: (offset, dtype, tuple(shape))
-            for key, offset, dtype, shape in placed
-        }
-        self._columns = {
-            key: _np.ndarray(
-                shape, dtype=_np.dtype(dtype), buffer=segment.buf,
-                offset=offset,
-            )
-            for key, offset, dtype, shape in placed
-        }
-        self.name = segment.name
-        self.size = size
-        self.owner = owner
-        self._finalizer = weakref.finalize(
-            self, _release_segment, segment, owner, os.getpid()
-        )
-        _ARENAS.add(self)
-
-    @staticmethod
-    def _layout_columns(specs):
-        offset = 0
-        placed = []
-        for key, dtype, shape in specs:
-            dt = _np.dtype(dtype)
-            offset = -(-offset // _ARENA_ALIGN) * _ARENA_ALIGN
-            count = 1
-            for dim in shape:
-                count *= int(dim)
-            placed.append((key, offset, dt.str, tuple(shape)))
-            offset += count * dt.itemsize
-        return placed, max(offset, 1)
-
-    @classmethod
-    def create(cls, specs):
-        """Allocate a segment holding every ``(key, dtype, shape)`` spec.
-
-        New segments are zero-filled by the OS — loader commit logic
-        relies on untouched mask bytes reading as ``False``.
-        """
-        if not (HAVE_NUMPY and HAVE_SHM):
-            raise BatchCompileError("shared memory is unavailable")
-        placed, size = cls._layout_columns(specs)
-        name = "repro_shm_%d_%d" % (os.getpid(), next(_ARENA_SEQ))
-        segment = _shared_memory.SharedMemory(
-            create=True, size=size, name=name
-        )
-        return cls(segment, placed, size, owner=True)
-
-    @classmethod
-    def attach(cls, descriptor):
-        """Map an existing segment from a :meth:`descriptor` (worker side)."""
-        # Attaching re-registers the name with the resource tracker;
-        # that is harmless here because fork workers share the parent's
-        # tracker process, whose per-type cache is a set — the duplicate
-        # collapses, and the creator's unlink clears the single entry.
-        segment = _shared_memory.SharedMemory(name=descriptor["segment"])
-        placed = [
-            (key, offset, dtype, tuple(shape))
-            for key, (offset, dtype, shape) in descriptor["columns"].items()
-        ]
-        return cls(segment, placed, descriptor["size"], owner=False)
-
-    def descriptor(self):
-        """Picklable handle a worker can :meth:`attach` to."""
-        return {
-            "segment": self.name,
-            "size": self.size,
-            "columns": dict(self._placed),
-        }
-
-    def column(self, key):
-        return self._columns[key]
-
-    @property
-    def alive(self):
-        return self._finalizer.alive
-
-    def release(self):
-        """Drop the mapping (and unlink when this process created it)."""
-        self._columns = {}
-        self._finalizer()
-        _ARENAS.discard(self)
-
-
-def shm_resident_bytes():
-    """Total bytes of live shared-memory arenas in this process."""
-    return sum(arena.size for arena in list(_ARENAS) if arena.alive)
-
-
-def release_all_arenas():
-    """Unlink every live arena (atexit hygiene sweep)."""
-    for arena in list(_ARENAS):
-        arena.release()
-
-
-def reclaim_orphaned_segments(shm_dir="/dev/shm"):
-    """Unlink ``repro_shm_*`` segments whose creating process is gone.
-
-    A worker killed with SIGKILL (or the parent of a previous crashed
-    run) can leave named segments behind that no finalizer will ever
-    sweep.  Segment names embed the creating PID, so orphans are
-    detectable without ``ps``: a name is reclaimed when its PID no
-    longer exists, or when it is this process's own PID but no live
-    arena claims the name (the tracking object was lost).  Segments of
-    *other live* processes are never touched.
-
-    Returns ``(segments, bytes)`` reclaimed.  No-op (``(0, 0)``) on
-    hosts without a /dev/shm-style directory.
-    """
-    if not (HAVE_NUMPY and HAVE_SHM) or not os.path.isdir(shm_dir):
-        return (0, 0)
-    live = {arena.name for arena in list(_ARENAS) if arena.alive}
-    own_pid = os.getpid()
-    segments = 0
-    nbytes = 0
-    try:
-        names = os.listdir(shm_dir)
-    except OSError:  # pragma: no cover - unreadable shm dir
-        return (0, 0)
-    for name in names:
-        if not name.startswith("repro_shm_") or name in live:
-            continue
-        try:
-            pid = int(name.split("_")[2])
-        except (IndexError, ValueError):
-            continue
-        if pid != own_pid:
-            try:
-                os.kill(pid, 0)
-                continue  # creator still running: its segment, not ours
-            except ProcessLookupError:
-                pass
-            except (PermissionError, OSError):
-                continue  # pragma: no cover - someone else's live pid
-        path = os.path.join(shm_dir, name)
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            continue  # pragma: no cover - raced another sweep
-        # Unlink through SharedMemory so the resource tracker's entry
-        # (if this process ever registered the name) is cleared too.
-        try:
-            segment = _shared_memory.SharedMemory(name=name)
-        except (OSError, ValueError):  # pragma: no cover - raced
-            continue
-        try:
-            segment.close()
-            segment.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover - raced
-            continue
-        segments += 1
-        nbytes += size
-    return (segments, nbytes)
-
-
-def _column_spec(slot, n):
-    """(dtype, shape) of one cache slot's full-width column."""
-    if slot.ty is INT:
-        return "int64", (n,)
-    if slot.ty is VEC3:
-        return "float64", (n, 3)
-    if slot.ty is MAT3:
-        return "float64", (n, 9)
-    return "float64", (n,)
-
-
-class ShmSoACache(SoACache):
-    """A frame :class:`SoACache` whose array columns live in a
-    :class:`ShmArena`, so loader tiles running in pool workers can store
-    results in place.
-
-    Freshly created it is indistinguishable from an empty ``SoACache``
-    (all columns ``None``); the executor *commits* columns — pointing
-    ``columns[k]`` at the arena views and deriving ``filled`` from the
-    arena's mask planes — only after the workers' tile descriptors come
-    back.  Every ``SoACache`` operation (tiling, demotion, splicing,
-    row views) keeps working because committed columns are ordinary
-    ndarrays; operations that *rebind* a column simply diverge that
-    column from the arena, and the executor detects divergence before
-    reusing the arena for reader transport.
-    """
-
-    __slots__ = ("arena", "__weakref__")
-
-    def __init__(self, layout, n, arena):
-        SoACache.__init__(self, layout, n)
-        self.arena = arena
-
-    def reset_columns(self, indices):
-        """Forget the listed slots *and* zero their arena planes, so a
-        delta refill through the shm transport starts from the same
-        all-zero bytes a fresh arena has (non-storing tiles and the
-        commit's mask derivation rely on that baseline)."""
-        SoACache.reset_columns(self, indices)
-        if self.arena.alive:
-            for k in indices:
-                self.arena.column("col%d" % k)[...] = 0
-                self.arena.column("mask%d" % k)[...] = False
-
-    def _splice_column(self, k, start, stop, tile, column):
-        """Splice into the arena planes, so a frame a serial loader
-        stitched together stays backed by its arena (and its adjusts
-        stay eligible for the pool); a tile column whose dtype or shape
-        does not match its plane, or a column that already diverged,
-        takes the plain :class:`SoACache` path instead."""
-        frame = self.columns[k]
-        if self.arena.alive and isinstance(column, _np.ndarray):
-            plane = self.arena.column("col%d" % k)
-            if (
-                (frame is None or frame is plane)
-                and column.dtype == plane.dtype
-                and column.shape == (stop - start,) + plane.shape[1:]
-            ):
-                mask = self.arena.column("mask%d" % k)
-                if frame is None:
-                    # Lanes no tile splices (degraded tiles) must read
-                    # as zeros with False masks, like a fresh column.
-                    plane[...] = 0
-                    mask[...] = False
-                    self.columns[k] = plane
-                elif self.filled[k] is True:
-                    mask[...] = True
-                elif self.filled[k] is not mask:
-                    mask[...] = self.filled[k]
-                plane[start:stop] = column
-                self._merge_tile_mask(k, mask, start, stop, tile)
-                return
-        SoACache._splice_column(self, k, start, stop, tile, column)
-
-    @classmethod
-    def allocate(cls, layout, n):
-        """A frame cache backed by a fresh arena (one data plane plus one
-        bool mask plane per cache slot)."""
-        specs = []
-        for k, slot in enumerate(layout):
-            dtype, shape = _column_spec(slot, n)
-            specs.append(("col%d" % k, dtype, shape))
-            specs.append(("mask%d" % k, "bool", (n,)))
-        arena = ShmArena.create(specs)
-        cache = cls(layout, n, arena)
-        # The cache's own lifetime drives the arena's: when the session
-        # drops the frame cache, the segment is unlinked.
-        weakref.finalize(cache, arena.release)
-        return cache

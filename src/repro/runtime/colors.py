@@ -7,7 +7,7 @@ scene to reply.
 
 Ownership rule: a column owns its buffer.  Results that may be shared
 with something a later frame writes in place — a cache column, a scene
-geometry column, a shared-memory segment, a tile view — are copied on
+geometry column, a view — are copied on
 adoption (:func:`color_column`), so a frame already returned never
 changes.
 
@@ -176,7 +176,7 @@ def color_column(values, n, shared=()):
 
     An ``(n, 3)`` float64 result the kernel built fresh is adopted
     without a copy.  It is copied (about 10 µs for 64×64) when it may
-    be shared: a view (tile slice, shared-memory segment), a read-only
+    be shared: a view, a read-only
     array (scene geometry), or one of the ``shared`` arrays (the cache
     columns the kernel stored or read).  Row lists (the per-row
     fallback) and uniform results are converted.
@@ -192,23 +192,3 @@ def color_column(values, n, shared=()):
             values = _np.array(values, dtype=_np.float64)
         return ColorColumn(values)
     return ColorColumn.from_rows(_column_rows(values, n))
-
-
-def join_colors(parts):
-    """One owned :class:`ColorColumn` from per-tile ``(values, lanes)``
-    results in frame order (the tiled scheduler's assembly)."""
-    if _np is None:
-        rows = []
-        for values, lanes in parts:
-            rows.extend(_column_rows(values, lanes))
-        return ColorColumn.from_rows(rows)
-    arrays = []
-    for values, lanes in parts:
-        if not (isinstance(values, _np.ndarray) and values.ndim == 2):
-            values = _np.array(
-                _column_rows(values, lanes), dtype=_np.float64
-            ).reshape(lanes, 3)
-        arrays.append(values)
-    # concatenate always allocates, so the frame never aliases a tile
-    # view or the reusable shared-memory result arena.
-    return ColorColumn(_np.concatenate(arrays, dtype=_np.float64))

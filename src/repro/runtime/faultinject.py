@@ -18,11 +18,7 @@ Injection kinds
 * ``should_fail``/``forced_lanes`` — forced kernel exceptions the
   :class:`~repro.runtime.guard.GuardedExecutor` honors per pixel/lane;
 * ``truncate_file``/``garble_file`` — damage persisted artifacts so
-  ``load_specialization`` integrity checks can be exercised;
-* ``proc_fault`` — *process-level* faults for the self-healing worker
-  pool: seeded kill / hang / slow-reply / garbled-reply directives the
-  :class:`~repro.runtime.parallel.TileExecutor` plants in outgoing
-  chunks and the pool's child loop executes on itself.
+  ``load_specialization`` integrity checks can be exercised.
 """
 
 from __future__ import annotations
@@ -37,45 +33,22 @@ from .vecops import HAVE_NUMPY, _np
 #: are detectable violations, so recovery can be proven bit-exact).
 CACHE_MODES = ("clear", "nan", "inf")
 
-#: Process-fault flavors a worker chunk can be directed to perform on
-#: itself: ``kill`` (``os._exit`` mid-chunk, the SIGKILL/OOM model),
-#: ``hang`` (sleep past the pool deadline), ``slow`` (sleep briefly,
-#: then reply correctly), ``garbled`` (send an unparseable reply).
-PROC_KINDS = ("kill", "hang", "slow", "garbled")
-
-#: Default hang length.  The dispatching pool stretches it to at least
-#: twice its ``PoolPolicy.deadline_ms``, so a hang always outlasts the
-#: deadline (the parent SIGKILLs the sleeper, so the sleep never
-#: completes); with deadlines off the worker sleeps exactly this long.
-DEFAULT_HANG_S = 30.0
-
-#: Default slow-reply delay: long enough to be a real stall relative to
-#: millisecond chunks, short enough for sweeps.
-DEFAULT_SLOW_S = 0.005
-
 
 class FaultInjector(object):
     """Seeded, rate-configurable fault source.
 
     ``cache_rate`` is the per-(lane, slot) corruption probability;
-    ``kernel_rate`` the per-(phase, lane) forced-exception probability;
-    ``proc_rate`` the per-dispatched-chunk process-fault probability
-    (kinds drawn from ``proc_kinds``).  ``injected`` records every
-    fault actually planted, as ``(kind, lane, slot, mode)`` tuples, so
-    tests know the ground truth.
+    ``kernel_rate`` the per-(phase, lane) forced-exception probability.
+    ``injected`` records every fault actually planted, as ``(kind,
+    lane, slot, mode)`` tuples, so tests know the ground truth.
     """
 
     def __init__(self, seed=0, cache_rate=0.0, kernel_rate=0.0,
-                 modes=CACHE_MODES, proc_rate=0.0, proc_kinds=PROC_KINDS,
-                 hang_s=DEFAULT_HANG_S, slow_s=DEFAULT_SLOW_S):
+                 modes=CACHE_MODES):
         self.seed = seed
         self.cache_rate = cache_rate
         self.kernel_rate = kernel_rate
         self.modes = tuple(modes)
-        self.proc_rate = proc_rate
-        self.proc_kinds = tuple(proc_kinds)
-        self.hang_s = hang_s
-        self.slow_s = slow_s
         self.injected = []
 
     def _rng(self, *key):
@@ -94,31 +67,6 @@ class FaultInjector(object):
 
     def forced_lanes(self, phase, n):
         return [i for i in range(n) if self.should_fail(phase, i)]
-
-    # -- process-level faults (self-healing worker pool) ---------------------
-
-    def proc_fault(self, chunk):
-        """Deterministically decide a process fault for one dispatched
-        worker chunk (``chunk`` is the executor's monotonically
-        increasing dispatch ordinal).
-
-        Returns a ``(kind, seconds)`` directive for the child loop, or
-        None.  ``seconds`` is the sleep for ``hang``/``slow`` and None
-        for ``kill``/``garbled``.
-        """
-        if self.proc_rate <= 0.0:
-            return None
-        rng = self._rng("proc", chunk)
-        if rng.random() >= self.proc_rate:
-            return None
-        kind = rng.choice(self.proc_kinds)
-        seconds = None
-        if kind == "hang":
-            seconds = self.hang_s
-        elif kind == "slow":
-            seconds = self.slow_s
-        self.injected.append(("proc", chunk, None, kind))
-        return (kind, seconds)
 
     # -- cache corruption ----------------------------------------------------
 

@@ -1,11 +1,21 @@
 """The execution plan: how one session, or one drag, actually runs.
 
 ``RenderSession`` resolves its execution keywords (``backend``,
-``guard``, ``workers``, ``tile``) and its frame size into one immutable
-:class:`ExecutionPlan` at construction, and ``begin_edit`` derives each
-drag's plan from it once.  ``EditSession``, ``repro render --json`` and
-the render service all read the plan, so what a surface reports is what
-runs, not what was typed.
+``guard``, ``tile``) into one immutable :class:`ExecutionPlan` at
+construction, and ``begin_edit`` derives each drag's plan from it once.
+``EditSession``, ``repro render --json`` and the render service all read
+the plan, so what a surface reports is what runs, not what was typed.
+
+Every batch frame is one whole-frame kernel call.  ``tile=`` sets only
+the granularity of per-tile deadline degradation: a supervised, capped
+adjust splits its lane costs at :func:`plan_tiles` spans and serves each
+span whose worst lane blew the cap with the original shader, while the
+rest of the frame keeps the reader's result.  Every vectorized operation
+the kernels perform is lane-local (elementwise arithmetic, masked
+selects, per-lane cost charges; the language has no cross-lane
+reduction), so lanes ``[s, e)`` of one whole-frame call are bit-identical
+to a call over those lanes alone: the frame, its costs and its degraded
+spans are what running the spans one by one would give.
 """
 
 from __future__ import annotations
@@ -14,10 +24,44 @@ import dataclasses
 from typing import Any, Optional
 
 from .batch import resolve_backend
-from .parallel import (
-    DEFAULT_TILE, POOL_MIN_PIXELS, _pool_available, resolve_tile,
-    resolve_workers,
-)
+
+
+def resolve_tile(tile):
+    """Normalize the ``tile=`` knob: a whole lane count >= 1 (an int,
+    an integral float, or a decimal integer string), or None for no
+    tiling.  Bools and fractional lane counts are rejected."""
+    if tile is None:
+        return None
+    size = 0
+    if isinstance(tile, float):
+        if tile.is_integer():
+            size = int(tile)
+    elif not isinstance(tile, bool):
+        try:
+            size = int(tile)
+        except (TypeError, ValueError):
+            pass
+    if size < 1:
+        raise ValueError("bad tile %r (expected a lane count >= 1)" % (tile,))
+    return size
+
+
+def plan_tiles(n, tile, width=None):
+    """Deterministic contiguous ``[start, stop)`` lane spans.
+
+    When the scene ``width`` is known the tile size is rounded down to a
+    whole number of scan lines (and up to at least one), so a tile never
+    splits a row: a degraded tile covers whole image rows.
+    """
+    if n <= 0:
+        return []
+    size = max(1, int(tile))
+    if width is not None and width > 0:
+        if size >= width:
+            size -= size % width
+        else:
+            size = width
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -28,27 +72,17 @@ class ExecutionPlan(object):
     spellings; ``backend=None`` means ``"auto"``) and resolves the
     combinations that cannot tile instead of rejecting them: a plan is
     :attr:`tiled` only on the batch backend, unguarded, without a
-    dispatch table, and with an explicit tile size or more than one
-    worker.  With the default tile, a pooled plan whose frame has at
-    most :data:`~repro.runtime.parallel.POOL_MIN_PIXELS` pixels does not
-    tile either: below that size the pool's fixed cost outweighs the
-    split (docs/performance.md, "Tile-size tuning").  Every untiled plan
-    records ``workers`` 1 and ``tile`` None, so no surface reports a
-    pool that never runs.
+    dispatch table, and with a ``tile``.  Every untiled plan records
+    ``tile`` None, so no surface reports a tiling that never runs.
     """
 
     backend: Optional[str] = None
     guard: bool = False
     dispatch: bool = False
-    workers: Any = None
     tile: Any = None
-    #: Pixels per frame (``RenderSession`` passes ``len(scene)``); None
-    #: when the plan is not for one frame size, as the render service's
-    #: own plan, which then tiles by ``workers`` alone.
-    pixels: Optional[int] = None
     #: Edit plans only: the drag's
-    #: :class:`~repro.runtime.faultinject.FaultInjector`, split between
-    #: guard and pool by :attr:`guard_injector` / :attr:`pool_injector`.
+    #: :class:`~repro.runtime.faultinject.FaultInjector`, which makes
+    #: the drag guarded.
     injector: Any = None
 
     def __post_init__(self):
@@ -58,58 +92,19 @@ class ExecutionPlan(object):
         pin("backend", resolve_backend(
             "auto" if self.backend is None else self.backend
         ))
-        pin("guard", bool(self.guard) or self.guard_injector is not None)
+        pin("guard", bool(self.guard) or self.injector is not None)
         pin("dispatch", bool(self.dispatch))
-        pin("workers", resolve_workers(self.workers))
-        pin("tile", None if self.tile is None else resolve_tile(self.tile))
+        pin("tile", resolve_tile(self.tile))
         if not self.tiled:
-            pin("workers", 1)
             pin("tile", None)
-        elif self.tile is None:
-            pin("tile", DEFAULT_TILE)
 
     @property
     def tiled(self):
-        """True when frames run through a tiled executor."""
+        """True when a capped adjust degrades per tile."""
         return (
             self.backend == "batch" and not self.guard and not self.dispatch
-            and (self.tile is not None
-                 or (self.workers > 1 and not self._small_frame()))
+            and self.tile is not None
         )
-
-    def _small_frame(self):
-        return self.pixels is not None and self.pixels <= POOL_MIN_PIXELS
-
-    @property
-    def transport(self):
-        """What a multi-tile frame uses: ``"shm"`` (fork pool) or
-        ``"serial"``.  A single-tile frame, a non-vectorized kernel or an
-        open pool breaker can still demote one run to serial; the
-        ``render.tile`` span reports the per-run choice."""
-        return "shm" if self.workers > 1 and _pool_available() else "serial"
-
-    @property
-    def guard_injector(self):
-        """The injector the per-pixel guard runs with (which makes the
-        drag guarded): any injector except one whose only faults are
-        process-level (worker kill/hang/slow/garbled).  Those exercise
-        the pool's recovery instead, so the drag can stay tiled."""
-        injector = self.injector
-        if injector is None or (
-            self._proc_faults() and injector.cache_rate <= 0.0
-            and injector.kernel_rate <= 0.0
-        ):
-            return None
-        return injector
-
-    @property
-    def pool_injector(self):
-        """The injector a tiled drag's executor plants process faults
-        from, or None."""
-        return self.injector if self.tiled and self._proc_faults() else None
-
-    def _proc_faults(self):
-        return getattr(self.injector, "proc_rate", 0.0) > 0.0
 
     def for_edit(self, dispatch=False, injector=None):
         """This session plan narrowed to one drag."""
@@ -122,7 +117,5 @@ class ExecutionPlan(object):
             "guard": self.guard,
             "dispatch": self.dispatch,
             "tiled": self.tiled,
-            "workers": self.workers,
             "tile": self.tile,
-            "transport": self.transport,
         }

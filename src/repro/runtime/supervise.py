@@ -199,14 +199,14 @@ class SupervisorIncident(object):
 
 class CircuitBreaker(object):
     """Closed/open/half-open breaker: one per (shader, partition) in the
-    supervisor, one per :class:`~repro.runtime.parallel.WorkerPool`.
+    supervisor.
 
     Time is measured in *requests seen by this breaker*, so probe
     scheduling is deterministic: opening waits ``min(breaker_cooldown *
     2**reopens, breaker_cooldown_cap)`` requests plus up to
     ``probe_jitter`` of that again, seeded by ``(policy.seed, key, trip
     ordinal)``.  The supervisor feeds outcomes through :meth:`record`
-    (windowed trip ratio); the pool calls :meth:`trip` and :meth:`close`.
+    (windowed trip ratio).
     """
 
     def __init__(self, key, policy):
@@ -352,21 +352,6 @@ class HealthSnapshot(object):
                 "per-pixel cost p50 %.1f, p99 %.1f (%d samples)"
                 % (cost["p50"], cost["p99"], cost["samples"])
             )
-        pool = d.get("pool")
-        if pool and (
-            d.get("pool_incidents")
-            or pool["restarts"] or pool["redispatched_tiles"]
-            or pool["inline_tiles"] or pool["quarantined"]
-            or pool["breaker"]["state"] != CLOSED
-        ):
-            lines.append(
-                "pool: %d worker(s) lost, %d restart(s), %d tile(s) "
-                "redispatched, %d inline, quarantined: %s, breaker %s"
-                % (sum(pool["lost_workers"].values()), pool["restarts"],
-                   pool["redispatched_tiles"], pool["inline_tiles"],
-                   ", ".join(pool["quarantined"]) or "none",
-                   pool["breaker"]["state"])
-            )
         if d["incidents_dropped"]:
             lines.append(
                 "%d incident records dropped" % d["incidents_dropped"]
@@ -415,15 +400,9 @@ class RenderSupervisor(object):
         self.short_circuits = 0
         self.faults_contained = 0
         self.deadline_misses = 0
-        #: Tiles (from the tiled frame scheduler) individually degraded
-        #: to the original shader after blowing their step deadline.
+        #: Tiles of a tiled batch adjust individually degraded to the
+        #: original shader after blowing their step deadline.
         self.tile_degradations = 0
-        #: Self-healing worker-pool events routed through
-        #: :meth:`note_pool_incident` (losses, redispatches, respawns).
-        self.pool_incidents = 0
-        #: The worker pool serving the tiled drags this supervises (they
-        #: set it); its ``health()`` is the snapshot's ``pool`` section.
-        self.pool = None
         self._request_tile_misses = 0
         self.exhausted = 0
         self.retries = 0
@@ -493,16 +472,6 @@ class RenderSupervisor(object):
                 "after blowing their deadline.",
                 ("shader", "partition"),
             ).inc(shader=key[0], partition=key[1])
-
-    def note_pool_incident(self, key, phase, cause, detail):
-        """A self-healing worker-pool event (worker loss, tile
-        redispatch, respawn, quarantine, pool degradation) occurred
-        while this request's tiles were pooled.  Recorded on the
-        ``"pool"`` rung; the rendered frame itself stayed byte-exact
-        (recovery is the pool's job), so this does not count as a
-        deadline miss or a bad request for breaker accounting."""
-        self.pool_incidents += 1
-        self._record_incident(key, phase, "pool", cause, detail)
 
     # -- the supervised request loop -----------------------------------------
 
@@ -745,8 +714,6 @@ class RenderSupervisor(object):
             "faults_contained": self.faults_contained,
             "deadline_misses": self.deadline_misses,
             "tile_degradations": self.tile_degradations,
-            "pool_incidents": self.pool_incidents,
-            "pool": self.pool.health() if self.pool is not None else None,
             "exhausted": self.exhausted,
             "retries": self.retries,
             "backoff_seconds": self.backoff_seconds,

@@ -43,14 +43,13 @@ Every response — errors and sheds included — carries an
 client sent one, a freshly minted id otherwise.  The id is bound to
 the handler thread for the whole request
 (:class:`repro.obs.trace.request_context`), so every span the render
-pipeline opens, every worker-recorded span merged back over the
-result pipe, and every ``FaultLog``/``SupervisorIncident`` ring entry
+pipeline opens and every ``FaultLog``/``SupervisorIncident`` ring entry
 carries the same id as the response header.
 
 :func:`run_daemon` is the ``repro serve`` entry point: it binds (port
 0 picks an ephemeral port, printed on the announce line so harnesses
-can parse it), installs the SIGTERM/SIGINT drain callback via
-:mod:`repro.runtime.lifecycle`, runs an idle-session reaper thread,
+can parse it), installs SIGTERM/SIGINT handlers that start the drain,
+runs an idle-session reaper thread,
 and on shutdown drains before exiting 0.
 """
 
@@ -330,23 +329,27 @@ def run_daemon(service, host="127.0.0.1", port=0, out=None,
     """The ``repro serve`` main loop; returns the process exit code.
 
     Serves until SIGTERM/SIGINT, then drains gracefully: in-flight
-    frames finish (bounded by ``drain_timeout_s``), sessions close,
-    pools and shm arenas are swept — and the process exits 0, because
-    a drained stop is the *intended* behavior, not a failure.
+    frames finish (bounded by ``drain_timeout_s``) and sessions close —
+    and the process exits 0, because a drained stop is the *intended*
+    behavior, not a failure.  The signal handlers are installed only
+    from the main thread (CPython forbids ``signal.signal`` elsewhere)
+    and restored on the way out.
     """
+    import signal
     import sys
-
-    from ..runtime.lifecycle import (
-        cleanup_now,
-        install_signal_cleanup,
-        uninstall_signal_cleanup,
-    )
 
     out = out if out is not None else sys.stdout
     # Handlers go in before the announce line: a supervisor that
     # signals the instant it sees the port must still get a drain.
     stop = threading.Event()
-    install_signal_cleanup(callback=lambda signum: stop.set())
+    previous = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            previous[signum] = signal.signal(
+                signum, lambda _signum, _frame: stop.set()
+            )
+        except ValueError:  # not the main thread
+            pass
     server, thread = start_server(service, host, port)
     bound_host, bound_port = server.server_address[:2]
     out.write(
@@ -385,8 +388,10 @@ def run_daemon(service, host="127.0.0.1", port=0, out=None,
         )
         out.flush()
     finally:
-        cleanup_now()
-        uninstall_signal_cleanup()
+        for signum, handler in previous.items():
+            signal.signal(
+                signum, handler if handler is not None else signal.SIG_DFL
+            )
     return 0
 
 

@@ -9,10 +9,6 @@ session, all sharing:
 * one :class:`~repro.serve.store.ArtifactStore` (specialize once per
   shader×partition, across every tenant *and* process on the store),
 * one :class:`~repro.obs.Observability` bundle (``/metrics``),
-* one :class:`~repro.runtime.parallel.WorkerPool` when the plan has
-  more than one worker (it forks on the first pooled frame; a session
-  whose frame is at or below ``POOL_MIN_PIXELS`` with the default tile
-  renders untiled and never uses it),
 * one :class:`~repro.runtime.supervise.RenderSupervisor` **per
   tenant** — breakers are keyed (shader, partition), so without the
   per-tenant split one tenant's poison shader would trip the breaker
@@ -27,13 +23,11 @@ Robustness contract:
   ``Retry-After``, never a stalled socket.
 * **Graceful drain.**  :meth:`RenderService.drain` flips the service
   into draining (new work sheds with 503), waits out in-flight frames
-  up to ``drain_timeout_s``, closes every session and the service's
-  worker pool: no live worker, no ``repro_shm_*`` segment, no stray
-  store lockfile.
-* **Crash recovery.**  Startup reclaims shm segments orphaned by a
-  previous unclean death (:func:`~repro.runtime.batch
-  .reclaim_orphaned_segments`) and sweeps the artifact store
-  (:meth:`~repro.serve.store.ArtifactStore.recover`).
+  up to ``drain_timeout_s`` and closes every session: no stray store
+  lockfile.
+* **Crash recovery.**  Startup sweeps the artifact store
+  (:meth:`~repro.serve.store.ArtifactStore.recover`) for what a
+  previous unclean death left behind.
 
 ``clock``/``sleep`` are injectable so lifecycle tests (idle reaping,
 drain timeouts) run in virtual time.
@@ -41,7 +35,6 @@ drain timeouts) run in virtual time.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import random
 import threading
@@ -55,8 +48,6 @@ from ..obs.metrics import MS_BUCKETS
 from ..obs.schema import canonical_endpoint
 from ..obs.slo import SloTracker, default_service_objectives
 from ..runtime import native
-from ..runtime.faultinject import FaultInjector
-from ..runtime.parallel import WorkerPool
 from ..runtime.plan import ExecutionPlan
 from ..runtime.supervise import RenderSupervisor, SupervisorPolicy
 from ..shaders.render import RenderSession
@@ -110,9 +101,8 @@ class ServiceConfig(object):
                  tenant_sessions=16, tenant_inflight=None,
                  idle_timeout_s=600.0, drain_timeout_s=10.0,
                  retry_after_s=0.5, seed=0, max_pixels=16384,
-                 policy=None, backend=None, workers=None, tile=None,
-                 pool_policy=None, recover=True, proc_chaos_rate=0.0,
-                 proc_chaos_seed=0, slo_window_s=300.0,
+                 policy=None, backend=None, tile=None, recover=True,
+                 slo_window_s=300.0,
                  slo_render_ms=250.0, slo_render_target=0.99,
                  slo_max_shed=0.05, flight_capacity=256,
                  flight_slow_ms=250.0, flight_span_trees=32):
@@ -138,15 +128,8 @@ class ServiceConfig(object):
         #: :class:`RenderSupervisor` built from this).
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.backend = backend
-        self.workers = workers
         self.tile = tile
-        self.pool_policy = pool_policy
         self.recover = recover
-        #: Process-level chaos (worker kill/hang/garbled) for the chaos
-        #: acceptance: each session gets its own deterministically
-        #: seeded injector so concurrent renders stay reproducible.
-        self.proc_chaos_rate = proc_chaos_rate
-        self.proc_chaos_seed = proc_chaos_seed
         #: SLO sliding window and the stock objectives' knobs (p-target
         #: fraction of render requests within ``slo_render_ms``, shed
         #: ratio at most ``slo_max_shed``).
@@ -275,11 +258,10 @@ class HostedSession(object):
     concurrently up to the admission bound.
     """
 
-    def __init__(self, session_id, tenant, session, injector, created):
+    def __init__(self, session_id, tenant, session, created):
         self.id = session_id
         self.tenant = tenant
         self.session = session
-        self.injector = injector
         self.lock = threading.Lock()
         self.edit = None
         self.param = None
@@ -311,28 +293,12 @@ class RenderService(object):
     def __init__(self, config, obs=True, clock=None, sleep=None):
         self.config = config
         #: Every hosted session's execution plan, resolved once here so
-        #: a bad ``backend``/``workers``/``tile`` fails construction.
-        self.plan = ExecutionPlan(
-            backend=config.backend, workers=config.workers,
-            tile=config.tile,
-        )
+        #: a bad ``backend``/``tile`` fails construction.
+        self.plan = ExecutionPlan(backend=config.backend, tile=config.tile)
         self.obs = resolve_obs(obs)
         self.clock = clock if clock is not None else time.monotonic
         self.sleep = sleep if sleep is not None else time.sleep
         self.store = ArtifactStore(config.store_dir)
-        #: The one worker pool every tiled hosted session renders on
-        #: (None with one worker).  It keeps per-connection dispatch
-        #: state, so *pooled* frame renders from different sessions must
-        #: not interleave: one mutex serializes the render itself
-        #: (admission still bounds how many requests hold sockets).
-        #: Untiled sessions (single-worker services, the default, and
-        #: frames at or below ``POOL_MIN_PIXELS``) render fully
-        #: concurrently and never take it.
-        self.pool = None
-        self._pool_mutex = None
-        if self.plan.workers > 1:
-            self.pool = WorkerPool(self.plan.workers, config.pool_policy)
-            self._pool_mutex = threading.Lock()
         self._lock = threading.RLock()
         self._sessions = {}
         self._supervisors = {}
@@ -399,26 +365,13 @@ class RenderService(object):
     # -- crash recovery ------------------------------------------------------
 
     def startup_recovery(self):
-        """Reclaim what a previous unclean shutdown left behind; safe
-        (and cheap) on a clean start."""
-        from ..runtime.batch import reclaim_orphaned_segments
-
-        segments, nbytes = reclaim_orphaned_segments()
+        """Repair what a previous unclean shutdown left in the artifact
+        store; safe (and cheap) on a clean start."""
         store = self.store.recover()
-        self.recovery = {
-            "shm_segments": segments,
-            "shm_bytes": nbytes,
-            "store": store,
-        }
-        registry = self.obs.registry
-        if segments:
-            registry.counter(
-                "repro_serve_recovered_shm_segments_total",
-                "Orphaned shared-memory segments reclaimed at startup.",
-            ).inc(segments)
+        self.recovery = {"store": store}
         repaired = store["respecialized"] + store["dropped"]
         if repaired:
-            registry.counter(
+            self.obs.registry.counter(
                 "repro_serve_recovered_artifacts_total",
                 "Store artifacts repaired or dropped by startup "
                 "recovery.",
@@ -460,22 +413,13 @@ class RenderService(object):
             if supervisor is None:
                 supervisor = RenderSupervisor(config.policy, obs=self.obs)
                 self._supervisors[tenant] = supervisor
-        # The configured tile, not the resolved one: the session's own
-        # plan decides from its frame size whether the default tile pools.
         session = RenderSession(
             spec_info.index, backend=self.plan.backend,
-            supervisor=supervisor, obs=self.obs, workers=self.plan.workers,
-            tile=config.tile, pool=self.pool, store=self.store,
-            width=width, height=height,
+            supervisor=supervisor, obs=self.obs, tile=self.plan.tile,
+            store=self.store, width=width, height=height,
         )
-        injector = None
-        if config.proc_chaos_rate > 0.0:
-            injector = FaultInjector(
-                seed=config.proc_chaos_seed + ordinal,
-                proc_rate=config.proc_chaos_rate,
-            )
         hosted = HostedSession(
-            "s%06d" % ordinal, tenant, session, injector, self.clock()
+            "s%06d" % ordinal, tenant, session, self.clock()
         )
         with self._lock:
             self._sessions[hosted.id] = hosted
@@ -556,10 +500,7 @@ class RenderService(object):
         except LoadShedError as err:
             self._m_shed.inc(scope=err.scope)
             raise
-        with permit, contextlib.ExitStack() as stack:
-            if self._pool_mutex is not None and hosted.session.plan.tiled:
-                stack.enter_context(self._pool_mutex)
-            stack.enter_context(hosted.lock)
+        with permit, hosted.lock:
             hosted.last_used = self.clock()
             payload = self._render_locked(hosted, param, controls)
             hosted.last_used = self.clock()
@@ -600,9 +541,7 @@ class RenderService(object):
             return hosted.edit
         hosted.close()
         try:
-            hosted.edit = session.begin_edit(
-                param, injector=hosted.injector
-            )
+            hosted.edit = session.begin_edit(param)
         except SpecializationError as err:
             raise ServiceError(str(err))
         hosted.param = param
@@ -664,7 +603,7 @@ class RenderService(object):
 
     def drain(self, timeout_s=None):
         """Graceful shutdown: refuse new work, wait out in-flight
-        frames (bounded), close every session and the worker pool.
+        frames (bounded), close every session.
         Idempotent — a second call returns the first call's summary."""
         with self._lock:
             if self._drained:
@@ -685,8 +624,6 @@ class RenderService(object):
                 self.close_session(session_id)
             except SessionNotFound:
                 pass
-        if self.pool is not None:
-            self.pool.close()
         summary = {
             "drained": True,
             "closed_sessions": len(hosted),
@@ -769,9 +706,6 @@ class RenderService(object):
                 "admission": admission,
                 "store": self.store.stats(),
                 "recovery": self.recovery,
-                "pool": (
-                    self.pool.health() if self.pool is not None else None
-                ),
                 "native_builtins": native.status(),
                 "flight": {
                     "recorded": self.flight.recorded,

@@ -30,11 +30,10 @@ from ..lang.errors import (
 from ..obs import resolve_obs
 from ..obs.schema import canonical_rung
 from ..runtime import batch as B
-from ..runtime import parallel as P
 from ..runtime import values as V
 from ..runtime.colors import ColorColumn, color_column
 from ..runtime.guard import FaultLog
-from ..runtime.plan import ExecutionPlan
+from ..runtime.plan import ExecutionPlan, plan_tiles
 from ..runtime.supervise import RenderSupervisor, Rung
 from .install import PROGRAMS
 from .scenes import scene_for
@@ -124,7 +123,7 @@ class EditSession(object):
         self.guard = None
         if plan.guard:
             self.guard = specialization.guarded(
-                table=table, injector=plan.guard_injector,
+                table=table, injector=plan.injector,
                 log=(
                     FaultLog(on_record=self._guard_fault_hook())
                     if self.obs.enabled else None
@@ -145,10 +144,6 @@ class EditSession(object):
         self._runners = (self.runner,)
         if self.runner.name == "batch":
             self._runners += (ScalarRunner(self),)
-        executor = self.runner.executor
-        if self.supervisor is not None and executor is not None \
-                and executor.pool is not None:
-            self.supervisor.pool = executor.pool
         #: Scalar backend: one slot list per pixel.  Batch backend: one
         #: shared :class:`~repro.runtime.batch.SoACache` for the frame.
         self.caches = None
@@ -184,14 +179,9 @@ class EditSession(object):
         )
 
     def close(self):
-        """Release this drag's shared memory — the tiled executor's
-        arenas and the frame cache's — without touching the worker pool
-        the session's other drags share.  Safe to call repeatedly; a
-        service hosting many sessions calls this when a session ends."""
-        if self.runner.executor is not None:
-            self.runner.executor.close()
-        if isinstance(self.caches, B.ShmSoACache):
-            self.caches.arena.release()
+        """Drop this drag's caches.  Safe to call repeatedly; a service
+        hosting many sessions calls this when a session ends."""
+        self.caches = None
 
     @property
     def fault_log(self):
@@ -221,7 +211,6 @@ class EditSession(object):
             "render.load", shader=self.render_session.spec_info.name,
             partition=self.param, backend=self.backend,
             pixels=len(self.render_session.scene), tiled=self.plan.tiled,
-            workers=self.plan.workers, transport=self.plan.transport,
         ) as span:
             image = self._load(controls)
             span.set(
@@ -253,7 +242,6 @@ class EditSession(object):
             "render.adjust", shader=self.render_session.spec_info.name,
             partition=self.param, backend=self.backend,
             pixels=len(self.render_session.scene), tiled=self.plan.tiled,
-            workers=self.plan.workers, transport=self.plan.transport,
         ) as span:
             image = self._serve("adjust", controls)
             span.set(cost=image.total_cost, rung=self._rung_label())
@@ -405,7 +393,7 @@ class EditSession(object):
             image = self._delta_frame(controls, dirty)
         except Exception:
             # Any fault on the delta path — guard trip, deadline,
-            # corrupted cache, pool loss — invalidates the caches and
+            # corrupted cache — invalidates the caches and
             # falls back to a full load.
             self.caches = None
             self._note_incremental("full_fallback", dirty, reason="fault")
@@ -598,15 +586,16 @@ class EditSession(object):
 # -- runners -----------------------------------------------------------------
 #
 # A runner serves one drag's frames on one backend.  It has a ``name``
-# (the ladder rung it is), an ``executor`` (the tiled executor, or None)
-# and three calls, none of which commits drag state:
+# (the ladder rung it is) and three calls, none of which commits drag
+# state:
 #
 # * ``load(controls, cap) -> (colors, caches, total)``
 # * ``adjust(controls, caches, cap) -> (colors, total)``
 # * ``refill(controls, caches, dirty) -> cost`` (delta loaders, in place)
 #
 # ``cap`` is the supervisor's per-pixel step deadline (None when
-# unsupervised); a run that blows it raises instead of returning.  A
+# unsupervised); a run that blows it raises instead of returning, except
+# a tiled batch adjust, which degrades the blown tiles alone.  A
 # runner holds its drag through a weak proxy: with no cycle between
 # them, dropping a drag frees its caches at once instead of at the
 # next cycle collection.
@@ -617,7 +606,6 @@ class ScalarRunner(object):
     steps (guarded, dispatch table or plain) are picked once, here."""
 
     name = "scalar"
-    executor = None
 
     def __init__(self, edit):
         self.edit = weakref.proxy(edit)
@@ -711,29 +699,22 @@ class ScalarRunner(object):
 
 class BatchRunner(object):
     """Whole-frame kernel runs over one shared SoA cache.  The guarded,
-    dispatch-table, tiled or plain load and adjust are picked once,
-    here; a tiled drag owns its
-    :class:`~repro.runtime.parallel.TileExecutor` as :attr:`executor`."""
+    dispatch-table or plain load and adjust are picked once, here.
+    Every frame is one kernel call; a tiled drag differs only in how a
+    supervised adjust meets the step deadline (per tile, see
+    :meth:`_degrade_tiles`)."""
 
     name = "batch"
 
     def __init__(self, edit):
         self.edit = weakref.proxy(edit)
-        plan = edit.plan
-        self.executor = (
-            P.TileExecutor(
-                workers=plan.workers, tile=plan.tile,
-                pool=edit.render_session.pool, injector=plan.pool_injector,
-            )
-            if plan.tiled else None
-        )
+        #: Lanes per deadline tile (None: the cap holds per frame).
+        self._tile = edit.plan.tile
         spec, table = edit.specialization, edit.table
         if edit.guard is not None:
             self.load, self.adjust = self._guarded_load, self._guarded_adjust
-        elif self.executor is not None:
-            self.load, self.adjust = self._tiled_load, self._tiled_adjust
-            self.refill = self._tiled_refill
-        elif table is not None:
+            return
+        if table is not None:
             max_steps = spec.options.max_steps
             loader = B.BatchKernel(table.loader, max_steps=max_steps)
             variants = [
@@ -745,14 +726,14 @@ class BatchRunner(object):
             self._reader = lambda cap, cache, columns, n: B.run_dispatch(
                 table, variants.__getitem__, cache, columns, n
             )
-        else:
-            self._layout = spec.layout
-            self._loader = functools.partial(spec.batch_kernel, "loader")
-            self._reader = (
-                lambda cap, cache, columns, n: spec.batch_kernel(
-                    "reader", cap
-                ).run_lanes(columns, n, cache=cache)
-            )
+            return
+        self._layout = spec.layout
+        self._loader = functools.partial(spec.batch_kernel, "loader")
+        self._reader = (
+            lambda cap, cache, columns, n: spec.batch_kernel(
+                "reader", cap
+            ).run_lanes(columns, n, cache=cache)
+        )
 
     @staticmethod
     def takes(caches):
@@ -778,8 +759,10 @@ class BatchRunner(object):
     def adjust(self, controls, cache, cap):
         columns, n = self._frame(controls)
         values, lane_costs = self._reader(cap, cache, columns, n)
-        total = self.edit._frame_cost(lane_costs, cap, "adjust")
-        return color_column(values, n, cache.columns), total
+        colors = color_column(values, n, cache.columns)
+        if cap is not None and self._tile is not None:
+            return self._degrade_tiles(controls, colors, lane_costs, cap)
+        return colors, self.edit._frame_cost(lane_costs, cap, "adjust")
 
     def refill(self, controls, cache, dirty):
         """Run the sliced delta kernel over the whole frame, splicing
@@ -811,82 +794,36 @@ class BatchRunner(object):
         rows, total = self.edit.guard.run_reader_batch(cache, columns, n)
         return ColorColumn.from_rows(rows), total
 
-    # -- tiled (runtime/parallel.py) -----------------------------------------
+    # -- tiled: per-tile deadline degradation ------------------------------
 
-    def _tiled_load(self, controls, cap):
-        """Loader sharded into tiles: tile-local SoA segments filled by
-        the scheduler and spliced into one frame cache.  A capped load
-        stays all-or-nothing (a blown tile raises ``DeadlineError`` and
-        the rung fails): committing a frame cache with per-tile holes
-        would poison every later adjust, so per-tile degradation is an
-        adjust-phase behavior."""
-        columns, n = self._frame(controls)
-        spec = self.edit.specialization
-        # The executor picks the cache's backing store: shared-memory
-        # columns when the fork pool will write tiles in place, an
-        # ordinary SoACache otherwise.
-        kernel = spec.batch_kernel("loader", cap)
-        cache = self.executor.new_frame_cache(kernel, spec.layout, n)
-        colors, lane_costs = self._run_tiles(
-            "load", kernel, columns, n, cache, layout=spec.layout, cap=cap,
-        )
-        return colors, cache, self.edit._frame_cost(lane_costs, None, "load")
+    def _degrade_tiles(self, controls, colors, lane_costs, cap):
+        """A tiled adjust's step deadline, met per tile.
 
-    def _tiled_adjust(self, controls, cache, cap):
-        """Reader sharded into tiles over contiguous frame-cache views.
-
-        Under a supervised deadline a blown tile degrades *alone*: the
-        supervisor is notified (deadline-miss accounting, incident,
-        breaker window) and that tile's pixels are served by the
-        unspecialized original while the rest of the frame stays on the
-        batch kernel."""
-        columns, n = self._frame(controls)
-        colors, lane_costs = self._run_tiles(
-            "adjust", self.edit.specialization.batch_kernel("reader", cap),
-            columns, n, cache, cap=cap,
-            on_overrun=(
-                self._tile_overrun_handler(controls)
-                if cap is not None and self.edit.supervisor is not None
-                else None
-            ),
-        )
-        return colors, self.edit._frame_cost(lane_costs, None, "adjust")
-
-    def _tiled_refill(self, controls, cache, dirty):
-        columns, n = self._frame(controls)
-        spec = self.edit.specialization
-        kernel = spec.delta_kernel(dirty)
-        cache.reset_columns(dirty)
-        _, lane_costs = self._run_tiles(
-            "delta", kernel, columns, n, cache, layout=spec.layout,
-            refill=True,
-        )
-        return self.edit._frame_cost(lane_costs, None, "delta")
-
-    def _run_tiles(self, phase, kernel, columns, n, cache, **options):
+        The whole-frame reader's lane costs are split at
+        :func:`~repro.runtime.plan.plan_tiles` spans, and a span whose
+        worst lane blew the cap degrades *alone*: the supervisor is
+        notified (deadline-miss accounting, incident, breaker window)
+        and that span's pixels are served by the unspecialized original
+        while the rest of the frame keeps the reader's result.  A capped
+        load stays all-or-nothing (:meth:`load`): a frame cache with
+        per-tile holes would poison every later adjust."""
         edit = self.edit
-        session = edit.render_session
-        return self.executor.run(
-            kernel, columns, n, frame_cache=cache,
-            width=session.scene.width, obs=edit.obs,
-            shader=session.spec_info.name, partition=edit.param,
-            phase=phase, on_pool_incident=self._pool_incident_hook(phase),
-            **options
-        )
-
-    def _pool_incident_hook(self, phase):
-        """Routes the executor's self-healing events (worker losses,
-        redispatches, respawns, quarantines) into the supervisor's
-        incident ring; None when this drag is unsupervised."""
-        supervisor = self.edit.supervisor
-        if supervisor is None:
-            return None
-        key = self.edit._key()
-
-        def hook(cause, detail):
-            supervisor.note_pool_incident(key, phase, cause, detail)
-
-        return hook
+        n = len(colors)
+        spans = plan_tiles(n, self._tile, edit.render_session.scene.width)
+        rows = None
+        for index, (start, stop) in enumerate(spans):
+            worst = B.cost_max(lane_costs[start:stop])
+            if worst <= cap:
+                continue
+            if rows is None:
+                serve = self._tile_overrun_handler(controls)
+                rows, lane_costs = list(colors), B.cost_list(lane_costs)
+            rows[start:stop], lane_costs[start:stop] = serve(
+                index, start, stop, worst
+            )
+        if rows is not None:
+            colors = ColorColumn.from_rows(rows)
+        return colors, edit._frame_cost(lane_costs, None, "adjust")
 
     def _tile_overrun_handler(self, controls):
         """Per-tile degradation: serve a deadline-blown tile with the
@@ -926,17 +863,9 @@ class RenderSession(object):
 
     def __init__(self, shader_index, scene=None, specializer_options=None,
                  width=16, height=16, backend=None, guard=False,
-                 supervisor=None, policy=None, obs=None, workers=None,
-                 tile=None, pool_policy=None, pool=None, store=None,
-                 incremental=False):
+                 supervisor=None, policy=None, obs=None, tile=None,
+                 store=None, incremental=False):
         self.spec_info = SHADERS[shader_index]
-        #: The :class:`~repro.runtime.parallel.WorkerPool` handed in by
-        #: an owner that shares it (the render service), or None: a
-        #: pooled session then builds its own from ``workers`` and
-        #: ``pool_policy`` on first use and closes it in :meth:`close`.
-        self._pool = pool
-        self._owns_pool = pool is None
-        self._pool_policy = pool_policy
         self._edits = weakref.WeakSet()
         #: Shared artifact store (:class:`~repro.serve.store
         #: .ArtifactStore`): specializations are fetched/persisted by
@@ -957,12 +886,8 @@ class RenderSession(object):
                 self.scene = scene_for(shader_index, width, height)
         #: The resolved :class:`~repro.runtime.plan.ExecutionPlan` every
         #: drag derives its own from.  Sessions default to
-        #: ``backend="auto"`` (batch when NumPy is importable); the
-        #: frame's pixel count decides whether the default tile pools.
-        self.plan = ExecutionPlan(
-            backend=backend, guard=guard, workers=workers, tile=tile,
-            pixels=len(self.scene),
-        )
+        #: ``backend="auto"`` (batch when NumPy is importable).
+        self.plan = ExecutionPlan(backend=backend, guard=guard, tile=tile)
         self.backend = self.plan.backend
         # The shader's checked program is installed once per process
         # and shared: ``cached`` says whether this session parsed it.
@@ -990,21 +915,10 @@ class RenderSession(object):
         self._spec_memo = {}
         self._geometry_columns = None
 
-    @property
-    def pool(self):
-        """The worker pool this session's tiled drags run on (None when
-        the plan has one worker); forks nothing until a pooled run."""
-        if self._pool is None and self.plan.workers > 1:
-            self._pool = P.WorkerPool(self.plan.workers, self._pool_policy)
-        return self._pool
-
     def close(self):
-        """Release every drag's shared memory and stop the session's
-        own worker pool (a handed-in pool belongs to its owner)."""
+        """Drop every drag's caches."""
         for edit in list(self._edits):
             edit.close()
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
 
     # -- argument plumbing ---------------------------------------------------
 
@@ -1130,9 +1044,8 @@ class RenderSession(object):
         table and renders through per-pixel selected reader variants
         (falls back to the plain reader when the shader has no dispatch
         candidates).  ``injector`` attaches a
-        :class:`~repro.runtime.faultinject.FaultInjector` (see
-        :meth:`ExecutionPlan.for_edit` for how its faults split between
-        guard and pool); ``supervisor`` overrides the session's
+        :class:`~repro.runtime.faultinject.FaultInjector`, which guards
+        the drag; ``supervisor`` overrides the session's
         supervisor (``False`` opts this drag out of supervision);
         ``incremental`` overrides the session's incremental-edit knob
         (delta loaders refill only the dirtied cache slots)."""

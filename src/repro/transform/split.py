@@ -543,8 +543,7 @@ def _synthetic_return(loader):
     """A trailing ``return`` whose value is a zero derived from a
     parameter, so the vectorized batch compiler (which rejects functions
     without a definite return) accepts the slice.  Preferring a FLOAT
-    parameter keeps the result a full-width lane array — that is what
-    keeps the shm transport eligible for delta tiles.
+    parameter keeps the result a full-width lane array.
     """
     from ..lang.types import FLOAT, INT, VEC3
 

@@ -1,4 +1,4 @@
-"""Suite-wide options and the worker-pool leak guard.
+"""Suite-wide options and the child-process leak guard.
 
 ``--native-builtins=off`` runs every test with the native builtin
 library forced unavailable, so batch kernels use the NumPy noise
@@ -6,15 +6,20 @@ mirrors and the lane-at-a-time builtins (the reference path of hosts
 without a C compiler).  Tests that exercise the native loops
 themselves skip.
 
-Every test must leave no worker pool open, no worker process alive and
-no shared-memory arena resident: a test that needs a pool makes its own
-and closes it (or drops it, and garbage collection stops it).
+Every test must leave no child process of the test process running: a
+test that starts one (a ``repro serve`` daemon, a CLI subprocess) stops
+it before it returns.
 """
 
-import gc
-import multiprocessing
+import glob
+import os
+import signal
+import time
 
 import pytest
+
+#: How long a child that was just told to stop may take to exit.
+GRACE_S = 2.0
 
 
 def pytest_addoption(parser):
@@ -33,31 +38,40 @@ def pytest_configure(config):
         )
 
 
-def _leaks():
-    from repro.runtime import batch as B
-    from repro.runtime import parallel as P
+def _running_children():
+    """Pids of this process's children that have not exited (zombies,
+    exited but not yet reaped, do not count)."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as handle:
+                pids.extend(int(p) for p in handle.read().split())
+        except OSError:
+            pass
+    return [pid for pid in pids if _running(pid)]
 
-    return (
-        len(P._FORKED),
-        len(multiprocessing.active_children()),
-        B.shm_resident_bytes(),
-    )
+
+def _running(pid):
+    try:
+        with open("/proc/%d/stat" % pid) as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_pool():
+def _no_leaked_child():
     yield
-    if not any(_leaks()):
-        return
-    # Unreferenced pools and arenas stop and unlink themselves when
-    # collected; only what something still holds is a leak.
-    gc.collect()
-    left = _leaks()
-    if any(left):
-        from repro.runtime.lifecycle import cleanup_now
-
-        cleanup_now()  # so one leak does not fail every later test
-        pytest.fail(
-            "test left %d open pool(s), %d live worker process(es) and "
-            "%d resident shm byte(s)" % left
-        )
+    deadline = time.monotonic() + GRACE_S
+    left = _running_children()
+    while left and time.monotonic() < deadline:
+        time.sleep(0.05)
+        left = _running_children()
+    if left:
+        for pid in left:  # so one leak does not fail every later test
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        pytest.fail("test left child process(es) %s running" % left)

@@ -1,5 +1,5 @@
-"""Backend parity and speed-ratio gates (run with ``-m benchsmoke`` or
-``-m parsmoke``; deselected by default).
+"""Backend parity and speed-ratio gates (run with ``-m benchsmoke``;
+deselected by default).
 
 Each gate first proves the frames it times are byte-identical — colours
 and CostMeter totals — and only then compares best-of-``REPEATS`` wall
@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.runtime.batch import HAVE_NUMPY
-from repro.runtime.parallel import usable_cores
 from repro.shaders.render import RenderSession
 
 #: Best-of-N timing to damp scheduler noise.
@@ -22,11 +21,6 @@ REPEATS = 3
 MIN_ADJUST_SPEEDUP = 3.0
 #: Required vectorized-noise adjust advantage over scalar (shader 3).
 MIN_NOISE_SPEEDUP = 5.0
-#: Required multi-core load advantage over a single worker.
-MIN_MULTICORE_SPEEDUP = 2.0
-#: Below this many usable cores a 2x pool win cannot show once the
-#: scheduler takes its cut (and CI containers often pin affinity).
-MULTICORE_GATE_MIN_CORES = 4
 
 NOISE_SHADER = 3
 NOISE_PARAM = "veinfreq"
@@ -34,11 +28,6 @@ NOISE_SIZE = 48
 
 requires_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="speed gates need NumPy (parity still runs)"
-)
-requires_cores = pytest.mark.skipif(
-    usable_cores() < MULTICORE_GATE_MIN_CORES,
-    reason="only %d usable core(s), the multi-core gates need >= %d"
-    % (usable_cores(), MULTICORE_GATE_MIN_CORES),
 )
 
 
@@ -113,41 +102,6 @@ def test_vectorized_noise_beats_scalar():
                   MIN_NOISE_SPEEDUP)
 
 
-@pytest.mark.parsmoke
-def test_multicore_drag_matches_scalar():
-    """Scalar, one-worker batch and an all-cores tiled pool render the
-    noise shader byte-identically, load and adjust both."""
-    scalar = _timed_drag(_noise_session(backend="scalar"), NOISE_PARAM)
-    for name, knobs in (
-        ("batch_1worker", {}),
-        ("batch_multicore", {"workers": "auto", "tile": NOISE_SIZE * 8}),
-    ):
-        other = _timed_drag(_noise_session(backend="batch", **knobs),
-                            NOISE_PARAM)
-        _assert_identical(scalar[0], other[0], name + " load")
-        _assert_identical(scalar[2], other[2], name + " adjust")
-
-
-@pytest.mark.parsmoke
-@requires_numpy
-@requires_cores
-def test_multicore_load_beats_single_worker():
-    """On hosts with enough usable cores the pooled load is at least
-    ``MIN_MULTICORE_SPEEDUP`` times a single worker's."""
-    single = _timed_drag(_noise_session(backend="batch"), NOISE_PARAM)
-    multi = _timed_drag(
-        _noise_session(backend="batch", workers="auto",
-                       tile=NOISE_SIZE * 8),
-        NOISE_PARAM,
-    )
-    _assert_identical(single[0], multi[0], "multicore load")
-    speedup = single[1] / multi[1]
-    assert speedup >= MIN_MULTICORE_SPEEDUP, (
-        "multi-core load only %.2fx single-core on %d usable cores"
-        % (speedup, usable_cores())
-    )
-
-
 @pytest.mark.benchsmoke
 def test_session_simulator_runs_batched():
     """The bench simulator rides the session default (auto -> batch)
@@ -161,7 +115,7 @@ def test_session_simulator_runs_batched():
         scalar = simulate_session(3, width=5, height=5, backend="scalar")
         assert auto.total_cost == scalar.total_cost
         assert auto.total_reference_cost == scalar.total_reference_cost
-        tiled = simulate_session(3, width=5, height=5, workers=2, tile=10)
+        tiled = simulate_session(3, width=5, height=5, tile=10)
         assert tiled.total_cost == auto.total_cost
 
 

@@ -320,9 +320,12 @@ class TestObservability:
 
 
 class TestPoolKnobs:
-    """``--workers``/``--tile`` share one argparse validator across the
-    five subcommands that take them: a bad spelling exits 2 with one
-    line naming the accepted spellings, never a traceback."""
+    """``--tile`` shares one argparse validator across the four
+    subcommands that take it, and ``serve`` alone still accepts (and
+    ignores) ``--workers`` with its old spellings: a bad spelling exits
+    2 with one line naming the accepted spellings, never a traceback.
+    No other subcommand has ``--workers``, and ``health`` (a guarded
+    drag, which never tiles) has no ``--tile``."""
 
     PREFIXES = {
         "render": ["render", "1"],
@@ -345,28 +348,33 @@ class TestPoolKnobs:
             build_parser().parse_args(self.PREFIXES[command] + [flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "argument %s" % flag in err
-        assert expected in err
+        if (flag, command) == ("--tile", "health") or (
+            flag == "--workers" and command != "serve"
+        ):
+            assert "unrecognized arguments: %s" % flag in err
+        else:
+            assert "argument %s" % flag in err
+            assert expected in err
         assert "Traceback" not in err
 
     def test_five_subcommands_resolve_one_plan(self):
-        """The shared session-options helper gives every subcommand the
-        plan ``render`` resolves from the same flags."""
+        """The shared session-options helper gives every subcommand that
+        takes ``--tile`` the plan ``render`` resolves from the same
+        flags."""
         from repro.cli import _session_options
         from repro.runtime.plan import ExecutionPlan
 
         for flags, tiled in [
-            (["--workers", "2", "--tile", "64"], True),
-            (["--workers", "1", "--tile", "64"], True),
-            (["--workers", "1"], False),
-            (["--backend", "scalar", "--workers", "2"], False),
+            (["--tile", "64"], True),
+            ([], False),
+            (["--backend", "scalar", "--tile", "64"], False),
         ]:
             plans = set()
-            for prefix in self.PREFIXES.values():
+            for command, prefix in self.PREFIXES.items():
+                if command == "health":
+                    continue
                 args = build_parser().parse_args(prefix + flags)
-                options = _session_options(args)
-                options.pop("pool_policy")
-                plans.add(ExecutionPlan(**options))
+                plans.add(ExecutionPlan(**_session_options(args)))
             assert len(plans) == 1
             assert plans.pop().tiled is tiled
 
@@ -381,58 +389,53 @@ def _render_config(argv):
 
 class TestRenderPlan:
     """``render --json`` reports the plan the drag runs, not the flags:
-    only the tiled case carries a tile size and more than one worker."""
+    only the tiled case carries a tile size."""
 
     def test_tiled(self):
-        from repro.runtime import parallel as P
-
-        config = _render_config(
-            ["3", "--size", "8", "--workers", "2", "--tile", "16"]
-        )
-        assert config["tiled"] is True
-        assert config["workers"] == 2
-        assert config["tile"] == 16
-        assert config["transport"] == (
-            "shm" if P._pool_available() else "serial"
-        )
+        config = _render_config(["3", "--size", "8", "--tile", "16"])
+        assert config == {"backend": config["backend"], "guard": False,
+                          "dispatch": False, "tiled": True, "tile": 16}
+        assert config["backend"] in ("batch", "scalar")
 
     @pytest.mark.parametrize("argv", [
-        ["3", "--guard"],
-        ["9", "--dispatch"],
-        ["3", "--backend", "scalar"],
-        # At or below POOL_MIN_PIXELS, --workers without --tile.
+        ["3", "--guard", "--tile", "16"],
+        ["9", "--dispatch", "--tile", "16"],
+        ["3", "--backend", "scalar", "--tile", "16"],
         ["3"],
-    ], ids=["guarded", "dispatch", "scalar", "small-frame"])
+    ], ids=["guarded", "dispatch", "scalar", "no-tile"])
     def test_untiled(self, argv):
-        config = _render_config(argv + ["--size", "8", "--workers", "2"])
+        config = _render_config(argv + ["--size", "8"])
         assert config["tiled"] is False
-        assert config["workers"] == 1
         assert config["tile"] is None
-        assert config["transport"] == "serial"
+        assert "workers" not in config and "transport" not in config
 
     def test_text_header_reports_the_plan(self):
         code, out = run_cli(
-            ["render", "3", "--size", "8", "--workers", "2", "--guard"]
+            ["render", "3", "--size", "8", "--tile", "16", "--guard"]
         )
         assert code == 0
-        assert "(workers 1, transport serial)" in out.splitlines()[0]
+        assert "backend (tile None)" in out.splitlines()[0]
 
     def test_trace_tiles_like_render(self, tmp_path):
         """``trace`` runs the path ``render`` runs with the same flags:
-        both record one ``render.tile`` span per frame."""
+        both frames' ``render.*`` spans say the drag tiles."""
         import json
 
-        def tile_spans(path):
+        def tiled_frames(path):
             with open(str(path)) as handle:
                 events = json.load(handle)["traceEvents"]
-            return sum(1 for e in events if e["name"] == "render.tile")
+            return sum(
+                1 for e in events
+                if e["name"] in ("render.load", "render.adjust")
+                and e["args"]["tiled"]
+            )
 
         rendered, traced = tmp_path / "render.json", tmp_path / "trace.json"
-        run_cli(["render", "3", "--size", "16", "--workers", "1",
-                 "--tile", "256", "--trace-out", str(rendered)])
-        run_cli(["trace", "3", "--size", "16", "--workers", "1",
-                 "--tile", "256", "--adjusts", "1", "--out", str(traced)])
-        assert tile_spans(rendered) == tile_spans(traced) == 2
+        run_cli(["render", "3", "--size", "16", "--tile", "256",
+                 "--trace-out", str(rendered)])
+        run_cli(["trace", "3", "--size", "16", "--tile", "256",
+                 "--adjusts", "1", "--out", str(traced)])
+        assert tiled_frames(rendered) == tiled_frames(traced) == 2
 
 
 class TestMainModule:

@@ -121,3 +121,58 @@ class TestServeWire:
             named = set(re.findall(r"application/vnd\.repro\.[\w.+-]+",
                                    read(path)))
             assert named == {FRAME_MEDIA_TYPE}, (path, named)
+
+
+def _documented_commands(text):
+    """``(subcommand, rest of the command)`` for every ``python -m repro
+    <subcommand>`` command in a Markdown text: one per line of a fenced
+    block (backslash continuations joined) and one per inline code
+    span (which may wrap across lines)."""
+    text = text.replace("\\\n", " ")
+    commands = []
+    fenced = re.compile(r"^```.*?^```", re.M | re.S)
+    for block in fenced.findall(text):
+        commands.extend(block.splitlines())
+    commands.extend(re.findall(r"`([^`]+)`", fenced.sub("", text)))
+    found = []
+    for command in commands:
+        for match in re.finditer(r"python3? -m repro (\w+)([^\n#]*)",
+                                 command.replace("\n", " ")):
+            found.append((match.group(1), match.group(2)))
+    return found
+
+
+class TestCliFlags:
+    def test_documented_flags_are_accepted(self):
+        """Every ``--flag`` on a ``python -m repro <subcommand>`` line in
+        the README, the docs and the skill notes is an option of that
+        subcommand's parser."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        subparsers = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ][0].choices
+        paths = [os.path.join(REPO, "README.md")]
+        paths += sorted(glob.glob(os.path.join(REPO, "docs", "*.md")))
+        paths.append(
+            os.path.join(REPO, ".claude", "skills", "verify", "SKILL.md")
+        )
+        checked, unknown = 0, []
+        for path in paths:
+            if not os.path.exists(path):
+                continue
+            for command, rest in _documented_commands(read(path)):
+                if command not in subparsers:
+                    continue  # a placeholder such as ``<cmd>``
+                options = subparsers[command]._option_string_actions
+                for flag in re.findall(r"(?<![\w-])(--[a-z][\w-]*)", rest):
+                    checked += 1
+                    if flag not in options:
+                        unknown.append("%s: `python -m repro %s %s`" % (
+                            os.path.relpath(path, REPO), command, flag
+                        ))
+        assert checked
+        assert not unknown, unknown

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.lang.errors import EvalError, SpecializationError, StaleCacheError
-from repro.runtime import parallel as P
 from repro.runtime.supervise import SupervisorPolicy
 from repro.shaders.render import MAX_DIRTY_FRACTION, RenderSession
 from repro.shaders.sources import SHADERS
@@ -37,16 +36,13 @@ DRAGS = {
     "supervised": (3, "veinfreq", "b1",
                    {"backend": "batch", "policy": SupervisorPolicy()}, {}),
     "dispatch": (9, "brickw", "ka", {}, {"dispatch": True}),
-    "fork:2": (3, "veinfreq", "b1",
-               {"backend": "batch", "workers": "fork:2", "tile": 16}, {}),
+    "tiled": (3, "veinfreq", "b1", {"backend": "batch", "tile": 16}, {}),
 }
 
 
 @pytest.fixture(params=sorted(DRAGS))
 def drag(request):
     shader, param, other, options, edit_options = DRAGS[request.param]
-    if request.param == "fork:2" and not P._fork_available():
-        pytest.skip("fork start method unavailable")
     session = RenderSession(shader, width=8, height=6, **options)
     try:
         edit = session.begin_edit(param, **edit_options)

@@ -22,8 +22,6 @@ from hypothesis import given, settings
 
 from repro.cli import main
 from repro.lang.errors import SceneError
-from repro.runtime import batch as B
-from repro.runtime import parallel as P
 from repro.runtime.builtins import REGISTRY
 from repro.runtime.colors import ColorColumn, color_column
 from repro.shaders import render as R
@@ -96,7 +94,6 @@ def test_pure_python_scene_and_column_fallbacks(monkeypatch):
     assert column[1:] == rows[1:] and list(column) == rows
     assert column == rows and column == C.ColorColumn.from_rows(rows)
     assert column.tolist() == [list(r) for r in rows]
-    assert C.join_colors([(rows[:1], 1), (rows[1:], 2)]) == rows
 
 
 def test_session_geometry_is_the_scene_columns():
@@ -209,18 +206,13 @@ def _drag_and_edit(session, param, other):
     return edit, frames
 
 
-@pytest.mark.parametrize("workers", [None, "fork:2"])
-def test_returned_frames_stay_unchanged(workers):
-    if workers == "fork:2" and not P._fork_available():
-        pytest.skip("fork start method unavailable")
-    tile = 16 if workers is not None else None
+@pytest.mark.parametrize("tile", [None, 16])
+def test_returned_frames_stay_unchanged(tile):
     session = RenderSession(3, width=8, height=6, backend="batch",
-                            workers=workers, tile=tile, incremental=True)
+                            tile=tile, incremental=True)
     edit, frames = _drag_and_edit(session, "veinfreq", "b1")
     try:
         assert edit.last_path == "delta"
-        if workers == "fork:2" and B.HAVE_SHM:
-            assert edit.runner.executor.last_stats.transport == "shm"
         for image, snapshot in frames:
             assert _frozen(image) == snapshot
             assert not np.asarray(image.colors).flags.writeable

@@ -4,7 +4,7 @@ The contract under test: an invariant-parameter edit served by the
 delta path — a sliced loader refilling only the cache slots the edited
 parameters dirty, in place, in the existing cache arena — must produce
 frames byte-identical to a full cache reload, with exact CostMeter
-parity between backends, across transports, under guards and
+parity between backends, tiled or not, under guards and
 supervision; and any fault, oversized dirty set, or open breaker must
 fall back to the full load transparently.
 """
@@ -14,7 +14,6 @@ import types
 import pytest
 
 from repro.runtime import batch as B
-from repro.runtime import parallel as P
 from repro.runtime.supervise import RenderSupervisor, SupervisorPolicy
 from repro.shaders import render as R
 from repro.shaders.render import RenderSession, ShaderInstallation
@@ -22,12 +21,6 @@ from repro.shaders.sources import SHADERS
 
 requires_numpy = pytest.mark.skipif(
     not B.HAVE_NUMPY, reason="NumPy unavailable"
-)
-requires_shm = pytest.mark.skipif(
-    not (B.HAVE_NUMPY and B.HAVE_SHM), reason="shared memory unavailable"
-)
-requires_fork = pytest.mark.skipif(
-    not P._fork_available(), reason="fork start method unavailable"
 )
 
 BACKENDS = ("scalar", "batch")
@@ -129,14 +122,14 @@ def test_backend_cost_parity_on_delta_path(index):
 
 
 @requires_numpy
-@pytest.mark.parametrize("workers,tile", ((2, 10), (3, 5)))
-def test_tiled_delta_refill_parity(workers, tile):
-    """Tiled executors splice refreshed columns into the standing
-    frame cache byte-identically to serial."""
+@pytest.mark.parametrize("tile", (10, 5))
+def test_tiled_delta_refill_parity(tile):
+    """A tiled drag's delta refills give frames byte-identical to an
+    untiled drag's."""
     param = SHADERS[3].control_params[0]
     serial = RenderSession(3, width=6, height=6, incremental=True)
     tiled = RenderSession(3, width=6, height=6, incremental=True,
-                          workers=workers, tile=tile)
+                          tile=tile)
     serial_edit = serial.begin_edit(param)
     tiled_edit = tiled.begin_edit(param)
     serial_edit.load(serial.controls)
@@ -148,44 +141,42 @@ def test_tiled_delta_refill_parity(workers, tile):
     tiled_edit.close()
 
 
-@requires_shm
-@requires_fork
-def test_shm_delta_refill_splices_dirty_columns_only():
-    """Fork/shm transport: a delta refill rewrites only the dirty
-    arena columns; clean columns keep their existing bindings, and the
-    frame stays byte-identical to a serial full load."""
+@requires_numpy
+def test_delta_refill_splices_dirty_columns_only():
+    """A batch delta refill rewrites only the dirty cache columns;
+    clean columns keep their existing bindings, and the frame stays
+    byte-identical to a full load."""
     param = SHADERS[3].control_params[0]
-    serial = RenderSession(3, width=8, height=8)
-    shm = RenderSession(3, width=8, height=8, incremental=True,
-                        workers="fork:2", tile=16)
+    serial = RenderSession(3, width=8, height=8, backend="batch")
+    inc = RenderSession(3, width=8, height=8, incremental=True,
+                        backend="batch", tile=16)
     serial_edit = serial.begin_edit(param)
-    shm_edit = shm.begin_edit(param)
+    inc_edit = inc.begin_edit(param)
     serial_edit.load(serial.controls)
-    shm_edit.load(shm.controls)
-    assert isinstance(shm_edit.caches, B.ShmSoACache)
+    inc_edit.load(inc.controls)
 
-    spec = shm_edit.specialization
-    controls = _edit_steps(shm, param, count=1)[0]
+    spec = inc_edit.specialization
+    controls = _edit_steps(inc, param, count=1)[0]
     changed = [
-        name for name in shm.spec_info.control_params
-        if controls[name] != shm.controls[name]
+        name for name in inc.spec_info.control_params
+        if controls[name] != inc.controls[name]
     ]
     dirty = spec.dirty_slots(set(changed))
     assert dirty, "edit dirtied nothing; pick a different step"
     clean = [
         slot.index for slot in spec.layout if slot.index not in dirty
     ]
-    before = {k: shm_edit.caches.columns[k] for k in clean}
+    before = {k: inc_edit.caches.columns[k] for k in clean}
 
     a = serial_edit.load(controls)
-    b = shm_edit.load(controls)
-    assert shm_edit.last_path == "delta"
-    assert a.colors == b.colors, "shm delta frame: colors differ"
+    b = inc_edit.load(controls)
+    assert inc_edit.last_path == "delta"
+    assert a.colors == b.colors, "delta frame: colors differ"
     for k in clean:
-        assert shm_edit.caches.columns[k] is before[k], (
+        assert inc_edit.caches.columns[k] is before[k], (
             "clean column %d was rebound by the refill" % k
         )
-    shm_edit.close()
+    inc_edit.close()
 
 
 def test_guarded_delta_parity():

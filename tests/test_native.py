@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.runtime import native
-from repro.runtime import parallel as P
 from repro.runtime.builtins import REGISTRY
 from repro.shaders.render import RenderSession
 
@@ -429,26 +428,6 @@ def test_two_processes_building_at_once(reference_frames, tmp_path):
     assert all(r["status"]["state"] == "loaded" for r in reports)
     assert all(r["digest"] == _digest(reference_frames) for r in reports)
     assert os.listdir(cache) == ["builtins-%s.so" % keys.pop()]
-
-
-@pytest.mark.skipif(not P._fork_available(),
-                    reason="needs the fork start method")
-def test_pool_resolves_the_tier_before_forking(monkeypatch):
-    """Fork-pool workers inherit the parent's resolved tier, so none of
-    them runs the compiler inside a tile's deadline."""
-    resolved = []
-
-    class CountingTier(object):
-        def library(self):
-            resolved.append(None)
-
-    monkeypatch.setattr(native, "TIER", CountingTier())
-    pool = P.WorkerPool(2)
-    pool.start()
-    try:
-        assert len(resolved) == 2
-    finally:
-        pool.close()
 
 
 # -- observability -------------------------------------------------------------

@@ -286,8 +286,8 @@ def test_traced_drag_emits_spans_and_frame_metrics():
     assert obs.registry.value("repro_cache_hits_total", **labels) > 0
 
     # Frame spans carry the drag's resolved plan: a tiled drag says it
-    # tiles; a guarded one reports that its workers knob resolved away.
-    for knobs in ({"workers": 2, "tile": 8}, {"workers": 2, "guard": True}):
+    # tiles; a guarded one reports that its tile resolved away.
+    for knobs in ({"tile": 8}, {"tile": 8, "guard": True}):
         obs = Observability()
         session = RenderSession(1, width=4, height=4, obs=obs, **knobs)
         edit = session.begin_edit(param)
@@ -297,14 +297,14 @@ def test_traced_drag_emits_spans_and_frame_metrics():
         guarded = knobs.get("guard", False)
         assert plan.tiled is (session.backend == "batch" and not guarded)
         if guarded:
-            assert (plan.workers, plan.transport) == (1, "serial")
+            assert plan.tile is None
         frames = [s for s in obs.tracer.spans
                   if s.name in ("render.load", "render.adjust")]
         assert len(frames) == 2
         for span in frames:
             assert span.attrs["tiled"] is plan.tiled
-            assert span.attrs["workers"] == plan.workers
-            assert span.attrs["transport"] == plan.transport
+            assert "workers" not in span.attrs
+            assert "transport" not in span.attrs
 
 
 def test_supervised_drag_mirrors_counters():

@@ -1,23 +1,17 @@
 """End-to-end request tracing, SLOs, and the flight recorder.
 
 Covers the distributed-observability stack: bucket-interpolated
-percentiles, the request-id context, cross-process span ingestion
-(fork workers ship span buffers back over the result pipe), SLO
-attainment/burn over sliding windows, flight-recorder tail sampling,
-and the daemon plumbing that ties them together — one request id on
-every response header, in every span, and in every incident ring.
-
-The fork-pool tests re-use the chaos machinery of
-``test_pool_selfheal.py`` to prove spans survive worker kill/hang
-without leaking or duplicating, while frames stay byte-identical.
+percentiles, the request-id context, SLO attainment/burn over sliding
+windows, flight-recorder tail sampling, and the daemon plumbing that
+ties them together — one request id on every response header, in every
+span, and in every incident ring.
 """
 
-import os
 import threading
 
 import pytest
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS
 from repro.obs.export import to_chrome_trace
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
@@ -33,24 +27,16 @@ from repro.obs.slo import (
     default_service_objectives,
 )
 from repro.obs.trace import (
-    NULL_TRACER,
     Tracer,
     current_request_id,
     request_context,
 )
 from repro.runtime import batch as B
-from repro.runtime import parallel as P
-from repro.runtime.faultinject import FaultInjector
 from repro.runtime.guard import FaultLog
 from repro.runtime.supervise import RenderSupervisor
-from repro.shaders.render import RenderSession
-from repro.shaders.sources import SHADERS
 
 requires_numpy = pytest.mark.skipif(
     not B.HAVE_NUMPY, reason="NumPy unavailable"
-)
-requires_fork = pytest.mark.skipif(
-    not P._fork_available(), reason="fork start method unavailable"
 )
 
 
@@ -150,59 +136,6 @@ class TestRequestContext:
             pass
         attrs = [s.attrs.get("trace") for s in tracer.spans]
         assert attrs == ["req-7", "explicit", None]
-
-
-# -- worker-buffer ingestion -------------------------------------------------
-
-
-def _buffer(pid=999, spans=None):
-    return {"pid": pid, "spans": spans or []}
-
-
-class TestIngest:
-    def test_reparents_and_remaps_ids(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("render.tile", trace="req-1") as parent:
-            clock.tick(1.0)
-        buffer = _buffer(spans=[
-            ("worker.chunk", 0, None, 0, 0.1, 0.9, {"mode": "reader"}),
-            ("worker.tile", 1, 0, 1, 0.2, 0.5, {"tile": 0}),
-        ])
-        ingested = tracer.ingest(buffer, parent=parent)
-        chunk, tile = ingested
-        assert chunk.parent == parent.sid
-        assert chunk.depth == parent.depth + 1
-        assert tile.parent == chunk.sid
-        assert tile.depth == chunk.depth + 1
-        assert chunk.pid == 999 and tile.pid == 999
-        assert chunk.attrs["trace"] == "req-1"
-        assert tile.attrs["trace"] == "req-1"
-        sids = [s.sid for s in tracer.spans]
-        assert len(set(sids)) == len(sids)
-
-    def test_open_record_merges_as_point(self):
-        tracer = Tracer(clock=FakeClock())
-        spans = tracer.ingest(_buffer(spans=[
-            ("worker.tile", 0, None, 0, 0.5, None, {}),
-        ]))
-        assert spans[0].end == spans[0].start == 0.5
-
-    def test_trace_falls_back_to_request_context(self):
-        tracer = Tracer(clock=FakeClock())
-        with request_context("ambient"):
-            spans = tracer.ingest(_buffer(spans=[
-                ("worker.tile", 0, None, 0, 0.0, 0.1, {}),
-            ]))
-        assert spans[0].attrs["trace"] == "ambient"
-
-    def test_empty_and_null(self):
-        tracer = Tracer(clock=FakeClock())
-        assert tracer.ingest(None) == []
-        assert tracer.ingest(_buffer(spans=[])) == []
-        assert NULL_TRACER.ingest(_buffer(spans=[
-            ("x", 0, None, 0, 0.0, 0.1, {}),
-        ])) == []
 
 
 # -- SLO engine --------------------------------------------------------------
@@ -397,229 +330,6 @@ class TestIncidentStamping:
         assert incidents[-1]["request_id"] == "req-11"
 
 
-# -- cross-process span propagation (fork pool) ------------------------------
-
-
-def _params_of(index):
-    params = SHADERS[index].control_params
-    return sorted({params[0], params[-1]})
-
-
-def _drag(session, edit, param):
-    loaded = edit.load(session.controls)
-    dragged = session.controls_with(
-        **{param: session.controls[param] * 1.3 + 0.05}
-    )
-    return loaded, edit.adjust(dragged)
-
-
-def _assert_equal(a, b, what):
-    assert a.colors == b.colors, "%s: colors differ" % what
-    assert a.total_cost == b.total_cost, (
-        "%s: cost %d != %d" % (what, a.total_cost, b.total_cost)
-    )
-
-
-def _fork_session(index, obs=None, policy=None, workers=2, tile=12):
-    return RenderSession(
-        index, width=8, height=6, backend="batch", workers=workers,
-        tile=tile, pool_policy=policy, obs=obs,
-    )
-
-
-class ScriptedInjector(FaultInjector):
-    def __init__(self, directives):
-        FaultInjector.__init__(self, proc_rate=1.0)
-        self.directives = dict(directives)
-
-    def proc_fault(self, chunk):
-        fault = self.directives.get(chunk)
-        if fault is not None:
-            self.injected.append(("proc", chunk, None, fault[0]))
-        return fault
-
-
-def _worker_spans(tracer, name):
-    return [s for s in tracer.spans if s.name == name]
-
-
-def _tiles_by_phase(tracer):
-    """Worker-recorded tile indices grouped by render phase (the
-    phase attr lives on the parent ``worker.chunk`` span)."""
-    parents = {s.sid: s for s in tracer.spans}
-    grouped = {}
-    for span in tracer.spans:
-        if span.name == "worker.tile":
-            phase = parents[span.parent].attrs.get("phase")
-            grouped.setdefault(phase, []).append(span.attrs["tile"])
-    return grouped
-
-
-@requires_numpy
-@requires_fork
-class TestForkSpanPropagation:
-    def test_worker_spans_merge_under_one_trace(self):
-        param = _params_of(1)[0]
-        obs = Observability()
-        session = _fork_session(1, obs=obs)
-        with request_context("req-42"):
-            edit = session.begin_edit(param)
-            _drag(session, edit, param)
-        tracer = obs.tracer
-        chunks = _worker_spans(tracer, "worker.chunk")
-        tiles = _worker_spans(tracer, "worker.tile")
-        parents = {s.sid: s for s in tracer.spans}
-        assert chunks and tiles
-        # Every worker span ran at a real worker pid, not the parent's.
-        for span in chunks + tiles:
-            assert span.pid != os.getpid() and span.pid is not None
-        # One trace id covers ingress to worker tile.
-        for span in chunks + tiles:
-            assert span.attrs["trace"] == "req-42"
-        # Worker chunks hang off the parent-side render.tile spans.
-        for span in chunks:
-            assert parents[span.parent].name == "render.tile"
-            assert span.depth == parents[span.parent].depth + 1
-        # Tiles hang off their chunk and carry per-tile cost.
-        for span in tiles:
-            assert parents[span.parent].name == "worker.chunk"
-            assert span.attrs["cost"] > 0
-        # The 8x6 frame at tile=12 splits into 6 tiles striped across
-        # 2 workers; each phase records every tile exactly once.
-        seen = _tiles_by_phase(tracer)
-        assert sorted(seen["load"]) == [0, 1, 2, 3, 4, 5]
-        assert sorted(seen["adjust"]) == [0, 1, 2, 3, 4, 5]
-
-    def test_chrome_export_separates_processes(self):
-        param = _params_of(1)[0]
-        obs = Observability()
-        session = _fork_session(1, obs=obs)
-        with request_context("req-chrome"):
-            edit = session.begin_edit(param)
-            _drag(session, edit, param)
-        document = to_chrome_trace(obs.tracer, as_text=False)
-        names = {
-            e["args"]["name"]: e["pid"]
-            for e in document["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert names.get("repro") == 1
-        assert "repro worker" in names
-        worker_pids = {
-            e["pid"] for e in document["traceEvents"]
-            if e["ph"] == "X" and e["name"].startswith("worker.")
-        }
-        assert worker_pids and 1 not in worker_pids
-
-    def test_spans_survive_worker_kill_without_dupes(self):
-        param = _params_of(3)[0]
-        base = RenderSession(3, width=8, height=6, backend="batch")
-        ebase = base.begin_edit(param)
-        load_a, adj_a = _drag(base, ebase, param)
-        obs = Observability()
-        policy = P.PoolPolicy(deadline_ms=5000.0, quarantine_threshold=99)
-        session = _fork_session(3, obs=obs, policy=policy)
-        edit = session.begin_edit(
-            param, injector=ScriptedInjector({0: ("kill", None)})
-        )
-        with request_context("req-kill"):
-            load_b, adj_b = _drag(session, edit, param)
-        _assert_equal(load_a, load_b, "kill-recovered load")
-        _assert_equal(adj_a, adj_b, "adjust after recovery")
-        assert session.pool.health()["lost_workers"]["crash"] == 1
-        # The killed worker's spans never arrive; redispatched tiles
-        # are recorded exactly once by the surviving worker.
-        seen = _tiles_by_phase(obs.tracer)
-        assert sorted(seen["load"]) == [0, 1, 2, 3, 4, 5]
-        assert sorted(seen["adjust"]) == [0, 1, 2, 3, 4, 5]
-        for span in _worker_spans(obs.tracer, "worker.tile"):
-            assert span.attrs["trace"] == "req-kill"
-
-    def test_spans_survive_worker_hang_without_dupes(self):
-        param = _params_of(3)[0]
-        base = RenderSession(3, width=8, height=6, backend="batch")
-        ebase = base.begin_edit(param)
-        load_a, adj_a = _drag(base, ebase, param)
-        obs = Observability()
-        policy = P.PoolPolicy(deadline_ms=300.0, quarantine_threshold=99)
-        session = _fork_session(3, obs=obs, policy=policy)
-        edit = session.begin_edit(
-            param, injector=ScriptedInjector({0: ("hang", 30.0)})
-        )
-        with request_context("req-hang"):
-            load_b, adj_b = _drag(session, edit, param)
-        _assert_equal(load_a, load_b, "hang-recovered load")
-        _assert_equal(adj_a, adj_b, "adjust after recovery")
-        assert session.pool.health()["lost_workers"]["hang"] == 1
-        seen = _tiles_by_phase(obs.tracer)
-        assert sorted(seen["load"]) == [0, 1, 2, 3, 4, 5]
-        assert sorted(seen["adjust"]) == [0, 1, 2, 3, 4, 5]
-
-    def test_total_loss_falls_back_to_traced_inline_tiles(self):
-        param = _params_of(3)[0]
-        base = RenderSession(3, width=8, height=6, backend="batch")
-        ebase = base.begin_edit(param)
-        load_a, _ = _drag(base, ebase, param)
-        obs = Observability()
-        policy = P.PoolPolicy(deadline_ms=5000.0, quarantine_threshold=99)
-        session = _fork_session(3, obs=obs, policy=policy)
-        edit = session.begin_edit(
-            param,
-            injector=ScriptedInjector({
-                0: ("kill", None), 1: ("kill", None),
-            }),
-        )
-        with request_context("req-inline"):
-            load_b = edit.load(session.controls)
-        _assert_equal(load_a, load_b, "inline-recovered load")
-        inline = [
-            s for s in obs.tracer.spans
-            if s.name == "render.tile" and s.attrs.get("inline")
-        ]
-        assert sorted(s.attrs["tile"] for s in inline) == [0, 1, 2, 3, 4, 5]
-        for span in inline:
-            assert span.attrs["trace"] == "req-inline"
-
-    def test_disabled_obs_ships_no_trace_context(self, monkeypatch):
-        captured = []
-        original = P.WorkerPool.send
-
-        def spy(self, worker, payload):
-            if isinstance(payload, dict):
-                captured.append(payload)
-            return original(self, worker, payload)
-
-        monkeypatch.setattr(P.WorkerPool, "send", spy)
-        param = _params_of(1)[0]
-        session = _fork_session(1, obs=None)
-        edit = session.begin_edit(param)
-        _drag(session, edit, param)
-        assert captured, "expected pooled dispatches"
-        assert all("trace" not in payload for payload in captured)
-        assert len(NULL_TRACER) == 0 and NULL_TRACER.spans == ()
-
-    def test_injected_clock_ships_no_trace_context(self, monkeypatch):
-        # A tracer on a fake clock cannot share a timeline with fork
-        # children; the payload must not grow a trace key.
-        captured = []
-        original = P.WorkerPool.send
-
-        def spy(self, worker, payload):
-            if isinstance(payload, dict):
-                captured.append(payload)
-            return original(self, worker, payload)
-
-        monkeypatch.setattr(P.WorkerPool, "send", spy)
-        obs = Observability(clock=FakeClock())
-        param = _params_of(1)[0]
-        session = _fork_session(1, obs=obs)
-        edit = session.begin_edit(param)
-        _drag(session, edit, param)
-        assert captured
-        assert all("trace" not in payload for payload in captured)
-        assert not _worker_spans(obs.tracer, "worker.tile")
-
-
 # -- daemon end-to-end -------------------------------------------------------
 
 
@@ -704,15 +414,13 @@ class TestServeTracing:
             _stop(server, thread)
 
     @requires_numpy
-    @requires_fork
-    def test_daemon_merges_worker_spans_under_client_trace_id(
+    def test_daemon_stamps_render_spans_with_client_trace_id(
         self, tmp_path
     ):
         from repro.serve import RenderService
 
         service = RenderService(_config(
-            tmp_path, backend="batch", workers="fork:2", tile=12,
-            flight_slow_ms=0.0,
+            tmp_path, backend="batch", tile=12, flight_slow_ms=0.0,
         ))
         server, thread, client = _serve(service)
         try:
@@ -726,17 +434,12 @@ class TestServeTracing:
                 assert headers["X-Repro-Request-Id"] == rid
                 assert payload["phase"] in ("load", "adjust")
             tracer = service.obs.tracer
-            tiles = [
+            loads = [
                 s for s in tracer.spans
-                if s.name == "worker.tile"
+                if s.name == "render.load"
                 and s.attrs.get("trace") == "req-golden-1"
             ]
-            assert sorted(s.attrs["tile"] for s in tiles) == [
-                0, 1, 2, 3, 4, 5,
-            ]
-            assert {s.pid for s in tiles} and os.getpid() not in {
-                s.pid for s in tiles
-            }
+            assert len(loads) == 1 and loads[0].attrs["tiled"] is True
             # The ingress span closed with the routed endpoint/status.
             ingress = [
                 s for s in tracer.spans
@@ -746,23 +449,22 @@ class TestServeTracing:
             assert len(ingress) == 1
             assert ingress[0].attrs["endpoint"] == "render"
             assert ingress[0].attrs["status"] == 200
-            # One merged Chrome trace separates daemon and workers.
+            # Every span runs in the daemon's own process.
             document = to_chrome_trace(tracer, as_text=False)
             processes = {
                 e["args"]["name"]
                 for e in document["traceEvents"]
                 if e["ph"] == "M" and e["name"] == "process_name"
             }
-            assert processes == {"repro", "repro worker"}
-            # The flight entry for the request carries worker spans.
+            assert processes == {"repro"}
+            # The flight entry for the request carries its render span.
             dump = service.flight_dump()
             entry = [
                 e for e in dump["entries"]
                 if e["request_id"] == "req-golden-1"
             ][0]
             span_names = {s["name"] for s in entry["spans"]}
-            assert "worker.tile" in span_names
-            assert entry["rung"] if "rung" in entry else True
+            assert "render.load" in span_names
         finally:
             _stop(server, thread)
             service.drain()

@@ -34,7 +34,7 @@ ROWS = {
     "batch+guard+dispatch": (
         {"backend": "batch", "guard": True}, {"dispatch": True},
     ),
-    "batch+tiled": ({"backend": "batch", "tile": 16, "workers": 1}, {}),
+    "batch+tiled": ({"backend": "batch", "tile": 16}, {}),
 }
 
 
@@ -111,18 +111,22 @@ def test_runner_matrix_parity(shader, row, supervised):
 DEADLINE = 5
 
 
-def _deadline_drag(backend, guard, dispatch):
+def _deadline_drag(backend, guard, dispatch, load_deadline=DEADLINE):
+    """Load, then adjust under the 5-step deadline; ``backend``
+    ``"batch+tile"`` is the batch backend with 4-lane (one-row) deadline
+    tiles.  ``load_deadline`` caps the load alone."""
+    tile = 4 if backend == "batch+tile" else None
+    policy = SupervisorPolicy(deadline_steps=load_deadline)
     session = RenderSession(
-        9, width=4, height=4, backend=backend, guard=guard,
-        policy=SupervisorPolicy(deadline_steps=DEADLINE),
+        9, width=4, height=4, backend=backend.split("+")[0], guard=guard,
+        policy=policy, tile=tile,
     )
     try:
         edit = session.begin_edit("brickw", dispatch=dispatch)
         assert (edit.table is not None) == dispatch
-        images = [
-            edit.frame(session.controls),
-            edit.frame(session.controls_with(brickw=0.4)),
-        ]
+        images = [edit.frame(session.controls)]
+        policy.deadline_steps = DEADLINE
+        images.append(edit.frame(session.controls_with(brickw=0.4)))
         return (
             [(_bits(image), image.total_cost) for image in images],
             edit.last_rung, session.supervisor.health(),
@@ -134,12 +138,13 @@ def _deadline_drag(backend, guard, dispatch):
 @pytest.mark.parametrize("dispatch", (False, True),
                          ids=("plain", "dispatch"))
 @pytest.mark.parametrize("guard", (False, True), ids=("unguarded", "guard"))
-@pytest.mark.parametrize("backend", ("scalar", "batch"))
+@pytest.mark.parametrize("backend", ("scalar", "batch", "batch+tile"))
 def test_step_deadline_holds_on_every_runner(backend, guard, dispatch):
     """A specialized runner that blows the supervisor's step deadline
     never serves: unguarded, the frame degrades to the original;
-    guarded, each blown pixel is contained, as the scalar guard does."""
-    if backend == "batch" and not B.HAVE_NUMPY:
+    guarded, each blown pixel is contained, as the scalar guard does.
+    A tiled batch adjust degrades each blown tile alone instead."""
+    if backend != "scalar" and not B.HAVE_NUMPY:
         pytest.skip("the batch runners need NumPy")
     frames, rung, health = _deadline_drag(backend, guard, dispatch)
     scalar_frames, _, scalar_health = _deadline_drag("scalar", guard,
@@ -149,9 +154,21 @@ def test_step_deadline_holds_on_every_runner(backend, guard, dispatch):
         assert health["faults_contained"] == \
             scalar_health["faults_contained"]
     else:
+        # The load degrades to the original.  So does a tiled adjust
+        # here: its cache rebuild is a capped load, all-or-nothing.
         assert rung == "original"
         assert health["deadline_misses"] > 0
     assert frames == scalar_frames
+    if backend == "batch+tile" and not guard and not dispatch:
+        # With the load served, the adjust degrades every one-row tile
+        # to the original: the scalar rows' colours and costs.
+        frames, rung, health = _deadline_drag(backend, guard, dispatch,
+                                              load_deadline=10 ** 9)
+        assert rung == "batch"
+        assert health["rungs"]["batch"] == 2
+        assert health["tile_degradations"] == 4
+        assert health["deadline_misses"] == 4
+        assert frames[1] == scalar_frames[1]
 
 
 def test_dispatch_runner_without_numpy(monkeypatch):

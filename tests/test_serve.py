@@ -375,51 +375,14 @@ class TestServiceLifecycle:
         assert service.drain() == first  # second call: cached summary
         assert not service.store.lock_files()
 
-    def test_service_owns_one_pool(self, tmp_path):
-        """Every hosted session renders on the service's one pool:
-        ``fork:2`` with three sessions is two worker processes, and
-        ``drain()`` leaves no worker, arena or segment behind."""
-        import multiprocessing
-
-        from repro.runtime import batch as B
-        from repro.runtime import parallel as P
-
-        if not P._pool_available():
-            pytest.skip("fork/shm pool unavailable")
-        prefix = "repro_shm_%d_" % os.getpid()
-        service = RenderService(
-            service_config(tmp_path, backend="batch", workers="fork:2",
-                           tile=16),
-            obs=False,
-        )
-        assert service.pool.health()["workers"]["alive"] == 0
-        for tenant in ("a", "b", "c"):
-            sid = service.create_session(tenant, 3, 8, 8)["session"]
-            service.render(sid)
-            service.render(sid)
-        assert len(multiprocessing.active_children()) == 2
-        assert service.pool.health()["runs"] == 6
-        service.drain()
-        assert multiprocessing.active_children() == []
-        assert B.shm_resident_bytes() == 0
-        assert not [f for f in os.listdir("/dev/shm") if f.startswith(prefix)]
-
-    def test_small_frames_fork_no_worker(self, tmp_path):
-        """A ``fork:2`` service resolves 64x64 sessions to the untiled
-        plan: no worker forks, and the colours and costs equal those of
-        the same service with an explicit tile (which does pool)."""
-        import multiprocessing
-
-        from repro.runtime import parallel as P
-
-        if not P._pool_available():
-            pytest.skip("fork/shm pool unavailable")
-
+    def test_tiled_service_matches_untiled(self, tmp_path):
+        """A service given a tile renders colours, costs and paths equal
+        to an untiled service's, in this process: every frame is one
+        in-process kernel call, so no child process starts."""
         def serve(tile, store):
             service = RenderService(
                 service_config(tmp_path, store_dir=str(tmp_path / store),
-                               backend="batch", workers="fork:2",
-                               tile=tile),
+                               backend="batch", tile=tile),
                 obs=False,
             )
             try:
@@ -430,21 +393,20 @@ class TestServiceLifecycle:
                     for value in (5.0, 7.0, 9.0)
                 ]
                 replies.append(service.render(sid, controls={"b1": 0.9}))
-                forked = len(multiprocessing.active_children())
                 return [
                     (r["path"], r["cost"], r["colors"].to_wire()["b64"])
                     for r in replies
-                ], forked
+                ]
             finally:
                 service.drain()
 
-        untiled, forked = serve(None, "untiled")
-        tiled, pooled = serve(P.DEFAULT_TILE, "tiled")
-        assert forked == 0 and pooled == 2
+        untiled = serve(None, "untiled")
+        tiled = serve(2048, "tiled")
         assert untiled == tiled
         assert [path for path, _, _ in untiled] == [
             "full", "adjust", "adjust", "full",
         ]
+        assert _children(os.getpid()) == []
 
     def test_inflight_gauge_ends_at_zero(self, tmp_path, monkeypatch):
         """Two renders that finish together: the gauge must show the
@@ -1022,6 +984,18 @@ class TestHealthCLI:
             )
 
 
+def _children(pid):
+    """Pids of ``pid``'s child processes."""
+    found = []
+    for path in glob.glob("/proc/%d/task/*/children" % pid):
+        try:
+            with open(path) as handle:
+                found.extend(int(p) for p in handle.read().split())
+        except OSError:  # the thread exited meanwhile
+            pass
+    return found
+
+
 class TestDaemonSignals:
     def _start_daemon(self, tmp_path, *extra):
         env = dict(
@@ -1045,13 +1019,15 @@ class TestDaemonSignals:
         return proc, "http://%s:%s" % (match.group(1), match.group(2))
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        proc, url = self._start_daemon(tmp_path)
+        # ``--workers`` is accepted and ignored: the daemon forks nothing.
+        proc, url = self._start_daemon(tmp_path, "--workers", "fork:2")
         try:
             client = ServiceClient(url, timeout_s=10.0, tenant="t")
             sid = client.create_session(SHADER, SIZE, SIZE)["session"]
             assert client.render(sid)["phase"] == "load"
             client.disconnect()
             pid = proc.pid
+            assert _children(pid) == []
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=30)
             assert rc == 0

@@ -1,19 +1,15 @@
 """SLO accounting over a burst of service renders (run with
 ``-m slosmoke``; deselected by default).
 
-An in-process :class:`~repro.serve.service.RenderService` (fork workers
-when NumPy and the fork start method are available) serves a burst of
-renders through the HTTP layer's own request path
+An in-process :class:`~repro.serve.service.RenderService` serves a
+burst of renders through the HTTP layer's own request path
 (:func:`repro.serve.http.serve_request`).  Every request succeeds, the
 SLO tracker counts every one with a finite burn rate and populated
-p50/p99, nothing is shed, and with fork workers the merged trace
-carries worker-side spans.
+p50/p99, nothing is shed, and the trace carries every render span.
 """
 
 import pytest
 
-from repro.runtime import batch as B
-from repro.runtime import parallel as P
 from repro.serve import RenderService, ServiceConfig
 from repro.serve.http import serve_request
 
@@ -38,11 +34,9 @@ def _drive(service):
 
 @pytest.mark.slosmoke
 def test_slo_tracker_counts_every_render(tmp_path):
-    fork = B.HAVE_NUMPY and P._fork_available()
-    knobs = {"flight_slow_ms": 0.0}
-    if fork:
-        knobs.update(backend="batch", workers="fork:2", tile=64)
-    service = RenderService(ServiceConfig(store_dir=str(tmp_path), **knobs))
+    service = RenderService(
+        ServiceConfig(store_dir=str(tmp_path), flight_slow_ms=0.0)
+    )
     try:
         assert _drive(service) == [200] * REQUESTS
         report = service.slo.report(service.obs.registry)
@@ -57,7 +51,6 @@ def test_slo_tracker_counts_every_render(tmp_path):
     assert render["p50_ms"] is not None and render["p99_ms"] is not None
     assert render["p99_ms"] >= render["p50_ms"]
     assert objectives["shed_rate"]["ratio"] == 0.0
-    if fork:
-        assert totals.get("worker.tile", {}).get("count", 0) > 0, (
-            "fork workers configured but no worker-side spans merged"
-        )
+    renders = (totals.get("render.load", {}).get("count", 0)
+               + totals.get("render.adjust", {}).get("count", 0))
+    assert renders == REQUESTS

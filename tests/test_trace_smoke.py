@@ -2,7 +2,7 @@
 ``-m tracesmoke``; deselected by default).
 
 A full traced drag (parse -> specialize -> load -> adjusts) of shader 1
-per backend, and again on a fork pool when one is available, must stay
+per backend must stay
 byte-identical to an untraced drag, and its root spans must cover at
 least ``MIN_COVERAGE`` of the pipeline's wall time, so a flamegraph
 accounts for where the time goes.  Running with tracing disabled (the
@@ -16,8 +16,6 @@ import time
 import pytest
 
 from repro.obs import Observability
-from repro.runtime import batch as B
-from repro.runtime import parallel as P
 from repro.shaders.render import RenderSession
 
 SHADER = 1
@@ -70,16 +68,6 @@ def _assert_traced_run_covered(backend, **knobs):
 @pytest.mark.parametrize("backend", ["scalar", "batch"])
 def test_traced_drag_is_identical_and_covered(backend):
     _assert_traced_run_covered(backend)
-
-
-@pytest.mark.tracesmoke
-@pytest.mark.skipif(
-    not (B.HAVE_NUMPY and P._fork_available()),
-    reason="needs numpy and the fork start method",
-)
-def test_traced_fork_drag_is_identical_and_covered():
-    totals = _assert_traced_run_covered("batch", workers="fork:2", tile=256)
-    assert totals.get("worker.tile", {}).get("count", 0) > 0
 
 
 @pytest.mark.tracesmoke
